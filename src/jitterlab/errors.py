@@ -25,7 +25,7 @@ class UnboundedBelowError(JitterlabError, RuntimeError):
 
 
 class EvaluationError(JitterlabError, RuntimeError):
-    """An objective returned a non-finite value where a finite one is required."""
+    """A non-finite value appeared where a finite one is required, or a solver stalled."""
 
 
 class BoundaryLimitError(JitterlabError, RuntimeError):

@@ -368,20 +368,30 @@ def write_factored_text(estimator: LinearEstimator, path: str) -> None:
 
 
 def read_factored_text(path: str) -> LinearEstimator:
-    """Inverse of write_factored_text."""
-    blocks: list[list[list[float]]] = []
-    current: list[list[float]] = []
+    """Inverse of write_factored_text; each block must match its header's shape."""
+    headers: list[list[str]] = []
+    blocks: list[list[list[float]]] = [[]]  # blocks[0] collects data before any header
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if line.startswith("#"):
-                current = []
-                blocks.append(current)
+                headers.append(line[1:].split())
+                blocks.append([])
             elif line:
-                current.append([float(tok) for tok in line.split()])
-    if len(blocks) != 3:
-        raise InvalidParameterError(f"expected 3 blocks, found {len(blocks)}")
-    left = np.array(blocks[0])
-    s = np.array(blocks[1]).ravel()
-    right = np.array(blocks[2])
-    return LinearEstimator.from_factors(left, s, right)
+                blocks[-1].append([float(tok) for tok in line.split()])
+    if [h[:1] for h in headers] != [["left"], ["singular_values"], ["right"]] or blocks[0]:
+        raise InvalidParameterError("expected a left, a singular_values and a right block")
+    factors = []
+    for header, rows in zip(headers, blocks[1:]):
+        try:
+            shape = tuple(int(tok) for tok in header[1:])
+        except ValueError:
+            shape = ()
+        if len(shape) != (1 if header[0] == "singular_values" else 2) or min(shape) < 0:
+            raise InvalidParameterError(f"malformed block header {' '.join(header)!r}")
+        # A block with zero columns is written as blank lines, which carry no rows.
+        n_rows = int(np.prod(shape[:-1])) if shape[-1] else 0
+        if len(rows) != n_rows or any(len(row) != shape[-1] for row in rows):
+            raise InvalidDimensionError(f"{header[0]} block does not match its shape {shape}")
+        factors.append(np.array(rows, dtype=float).reshape(shape))
+    return LinearEstimator.from_factors(*factors)

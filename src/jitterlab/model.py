@@ -26,6 +26,9 @@ _CHUNK = 4096
 
 _ORTHO_TOL = 1e-10
 
+# Bases whose A U factorization an operator keeps; experiments use a handful.
+_SVD_CACHE_SIZE = 8
+
 
 def rng_stream(seed: int, *path: int) -> np.random.Generator:
     """Independent counter-based generator for one (seed, path) coordinate.
@@ -108,7 +111,9 @@ class ForwardOperator:
     The factorization A U = W diag(lambda) V (W: m x k with orthonormal
     columns, lambda sorted non-increasing and >= 0, V: k x d with
     orthonormal rows) depends on the model basis, so it is computed lazily
-    per basis and cached.
+    per basis and cached for the most recent few bases.  Entries hold the
+    basis array itself and match by identity, so a cached basis cannot be
+    freed and have its id reused by another model's basis.
     """
 
     def __init__(self, matrix: np.ndarray) -> None:
@@ -118,7 +123,7 @@ class ForwardOperator:
         if not np.all(np.isfinite(matrix)):
             raise InvalidParameterError("operator matrix must be finite")
         self.matrix = _readonly(matrix)
-        self._svd_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._svd_cache: list[tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]] = []
 
     @property
     def m(self) -> int:
@@ -134,13 +139,14 @@ class ForwardOperator:
             raise InvalidDimensionError(
                 f"operator has {self.n} columns but model is {model.n}-dimensional"
             )
-        key = id(model.basis)
-        cached = self._svd_cache.get(key)
-        if cached is None:
-            w, lam, v = np.linalg.svd(self.matrix @ model.basis, full_matrices=False)
-            cached = (_readonly(w), _readonly(lam), _readonly(v))
-            self._svd_cache[key] = cached
-        return cached
+        basis = model.basis
+        for held, factors in self._svd_cache:
+            if held is basis:
+                return factors
+        w, lam, v = np.linalg.svd(self.matrix @ basis, full_matrices=False)
+        factors = (_readonly(w), _readonly(lam), _readonly(v))
+        self._svd_cache = [(basis, factors)] + self._svd_cache[: _SVD_CACHE_SIZE - 1]
+        return factors
 
 
 def make_subspace(n: int, d: int, sigma_c: float, seed: int) -> SubspaceModel:

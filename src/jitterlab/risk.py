@@ -1,7 +1,7 @@
 """Standard, robust, and jittering risk evaluation for linear estimators.
 
 The robust risk at radius eps is E max_{||e|| <= eps} ||H(y+e) - x||^2.
-For a fixed sample the inner maximum is a trust-region-type problem whose
+For a fixed sample the inner maximum is a trust-region subproblem whose
 exact value comes from a one-dimensional convex dual:
 
     max_{||e|| <= eps} ||v + H e||^2
@@ -14,10 +14,13 @@ v outside the range of H (lambda-independent, added analytically).  Strong
 duality holds, so this value is exact, and projected gradient ascent can
 only approach it from below.
 
+One private solver, _secular_min, minimizes this dual for a block of
+weight vectors at once by Newton's method on its secular equation (More &
+Sorensen, "Computing a Trust Region Step", 1983).  It serves
+inner_max_dual, dual_values_batch and the analytic mode-form risk.
+
 Monte-Carlo risk estimates average the dual value over seeded samples and
 carry 66% confidence intervals (normal approximation, mean +- 0.954 SE).
-A vectorized batch dual evaluates all samples simultaneously; it is
-cross-checked against the scalar path in the test suite.
 """
 
 from __future__ import annotations
@@ -29,13 +32,12 @@ import numpy as np
 
 from .errors import (
     DegenerateInputError,
+    EvaluationError,
     InvalidDimensionError,
     InvalidParameterError,
-    UnboundedBelowError,
 )
 from .estimators import LinearEstimator
 from .model import ForwardOperator, NoiseModel, SubspaceModel, draw_sample_arrays
-from .scalar import ScalarProblem, minimize_convex, _INVPHI
 
 # 66% two-sided normal quantile: CI = mean +- 0.954 * SE.
 CI_SCALE = 0.954
@@ -102,45 +104,94 @@ def _mean_ci(values: np.ndarray) -> tuple[float, float, float]:
     return mean, mean - CI_SCALE * se, mean + CI_SCALE * se
 
 
+# Newton on the secular equation converges in 4-12 steps from the left start
+# point; a column still moving after this many has hit a numerical problem.
+_NEWTON_MAX_ITER = 60
+# Relative slack on ||p(lam)|| = eps; the value is stationary in lam, so this
+# leaves it accurate to rounding.
+_SECULAR_RTOL = 1e-11
+# Least start for mu: its cube is still a normal float, and a root below it
+# leaves lam* = max s2 to working precision.
+_MU_FLOOR = float(np.finfo(float).tiny) ** (1.0 / 3.0)
+
+
+def _secular_terms(
+    mu: np.ndarray, gap: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """||p||^2 and sum_k p_k^2 / (mu + gap_k) per column, with two k x N temporaries."""
+    inv = mu + gap
+    np.reciprocal(inv, out=inv)
+    u = inv * inv
+    u *= w
+    inv *= u
+    return u.sum(axis=0), inv.sum(axis=0)
+
+
+def _secular_min(s2: np.ndarray, a: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """min over lam >= max s2 of lam eps^2 + sum_k a_k / (1 - s2_k/lam), per column.
+
+    s2 has shape (k,) and a (k, N) with a >= 0; returns (values, lam_star),
+    each of shape (N,).  Writing lam = max s2 + mu, the derivative in lam
+    is eps^2 - ||p||^2 with p_k = s_k sqrt(a_k) / (mu + gap_k) and
+    gap_k = max s2 - s2_k, so the minimizer solves the secular equation
+    phi(mu) = 1/||p(mu)|| - 1/eps = 0 (More & Sorensen 1983).  phi is
+    concave and increasing, so Newton's method from the left start
+    mu0 = sqrt(sum_top s_k^2 a_k) / eps (where ||p|| >= eps) rises
+    monotonically to the root and never crosses the pole.
+
+    Zero-weight terms drop out: mu never drops below a tiny positive floor,
+    so they contribute 0 rather than 0/0.  In the hard case every top-mode
+    weight is 0 and the iteration starts at that floor; if ||p|| <= eps
+    there, the minimizer is the boundary lam = max s2, which the
+    convergence test accepts at once.  A step that is not finite
+    (non-finite weights, or underflow at eps below about 1e-90) or a column
+    still moving after _NEWTON_MAX_ITER steps raises EvaluationError.
+    """
+    top = float(s2.max())
+    gap = (top - s2)[:, None]
+    w = s2[:, None] * a  # squared numerators of p
+    mu = np.maximum(np.sqrt(w[gap[:, 0] == 0.0].sum(axis=0)) / eps, _MU_FLOOR)
+    with np.errstate(all="ignore"):  # a non-finite step raises below instead
+        for _ in range(_NEWTON_MAX_ITER):
+            pn2, q = _secular_terms(mu, gap, w)
+            pn = np.sqrt(pn2)
+            # Written so that NaN counts as still moving and reaches the check below.
+            moving = ~(pn - eps <= _SECULAR_RTOL * eps)
+            if not moving.any():
+                break
+            step = (pn2 * (pn - eps) / (eps * q))[moving]
+            if not np.all(np.isfinite(step)):
+                raise EvaluationError("secular equation produced a non-finite Newton step")
+            mu[moving] += step
+        else:
+            raise EvaluationError(
+                f"secular Newton iteration did not converge in {_NEWTON_MAX_ITER} steps "
+                f"for {np.count_nonzero(moving)} of {a.shape[1]} columns"
+            )
+    lam = top + mu
+    ratio = mu + gap
+    np.divide(lam, ratio, out=ratio)  # 1 / (1 - s2_k / lam)
+    ratio *= a
+    return lam * (eps * eps) + ratio.sum(axis=0), lam
+
+
 def inner_max_dual(estimator: LinearEstimator, v: np.ndarray, eps: float) -> float:
     """Exact worst-case value max_{||e|| <= eps} ||v + H e||^2.
 
-    eps = 0 and H = 0 short-circuit to ||v||^2; otherwise the convex dual in
-    lambda is minimized over the closed ray lambda >= sigma_max^2 (the
-    boundary value is the pole limit +inf unless the top coefficient
-    vanishes, in which case it competes as a finite candidate).
+    eps = 0 and H = 0 short-circuit to ||v||^2; otherwise the secular
+    solver minimizes the dual in lambda over lambda >= sigma_max^2.
     """
     v = np.asarray(v, dtype=float)
-    if eps < 0:
-        raise InvalidParameterError(f"eps must be >= 0, got {eps}")
-    vnorm2 = float(v @ v)
-    if eps == 0.0 or estimator.sigma_max == 0.0:
-        return vnorm2
-    s2 = estimator.singular_values**2
-    vt2 = (estimator.left.T @ v) ** 2
-    vperp2 = max(vnorm2 - float(vt2.sum()), 0.0)
-    lo = float(s2[0])
-    eps2 = eps * eps
-
-    def objective(lam: float) -> float:
-        t = 1.0 - s2 / lam
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(vt2 == 0.0, 0.0, vt2 / t)
-        return lam * eps2 + float(terms.sum()) + vperp2
-
-    problem = ScalarProblem(
-        objective, lower=lo, tolerance=1e-10 * max(1.0, lo), lower_inclusive=True
-    )
-    _, value = minimize_convex(problem)
-    return value
+    return float(dual_values_batch(estimator, v[:, None], eps)[0])
 
 
 def dual_values_batch(estimator: LinearEstimator, v: np.ndarray, eps: float) -> np.ndarray:
     """inner_max_dual for every column of v (n x N), vectorized.
 
-    Same bracket-then-golden-section scheme as the scalar path, with all N
-    one-dimensional searches advanced in lockstep; used by the Monte-Carlo
-    evaluators, and cross-checked against inner_max_dual in the tests.
+    All N duals share H's spectrum, so one secular Newton solve runs on the
+    k x N block of weights vt^2 at once, and a converged column stops
+    moving while the others finish.  Non-convergence raises
+    EvaluationError rather than returning a best-so-far value.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 2:
@@ -150,72 +201,10 @@ def dual_values_batch(estimator: LinearEstimator, v: np.ndarray, eps: float) -> 
     vnorm2 = (v * v).sum(axis=0)
     if eps == 0.0 or estimator.sigma_max == 0.0 or v.shape[1] == 0:
         return vnorm2
-    s2 = estimator.singular_values**2
     vt2 = (estimator.left.T @ v) ** 2  # k x N
     vperp2 = np.maximum(vnorm2 - vt2.sum(axis=0), 0.0)
-    lo = float(s2[0])
-    eps2 = eps * eps
-    n_cols = v.shape[1]
-    zero_mask = vt2 == 0.0
-
-    def f_at(lam: np.ndarray) -> np.ndarray:
-        # lam: (N,) -> objective per sample, +inf at poles.
-        t = 1.0 - s2[:, None] / lam[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(zero_mask, 0.0, vt2 / t)
-        return lam * eps2 + terms.sum(axis=0) + vperp2
-
-    tol = 1e-9 * max(1.0, lo)
-
-    # Bracket expansion: probes lo + tol * 2^j, stopped per sample at the
-    # first non-decrease.
-    p_prev2 = np.full(n_cols, lo)
-    p_prev = np.full(n_cols, lo + tol)
-    f_prev = f_at(p_prev)
-    best = f_prev.copy()
-    a = np.empty(n_cols)
-    b = np.empty(n_cols)
-    done = np.zeros(n_cols, dtype=bool)
-    for j in range(1, 62):
-        p = lo + tol * 2.0**j
-        fp = f_at(np.full(n_cols, p))
-        best = np.minimum(best, fp)
-        rise = ~done & (fp >= f_prev)
-        a[rise] = p_prev2[rise]
-        b[rise] = p
-        done |= rise
-        if done.all():
-            break
-        active = ~done
-        p_prev2[active] = p_prev[active]
-        p_prev[active] = p
-        f_prev[active] = fp[active]
-    if not done.all():
-        raise UnboundedBelowError("dual objective failed to bracket; non-finite inputs?")
-
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1 = f_at(x1)
-    f2 = f_at(x2)
-    best = np.minimum(best, np.minimum(f1, f2))
-    for _ in range(200):
-        if not np.any(b - a > np.maximum(tol, 1e-14 * np.abs(b))):
-            break
-        # Keep the left sub-interval where f1 <= f2, except on +inf ties
-        # (both probes in the pole region hugging the lower endpoint).
-        keep_left = (f1 <= f2) & ~(np.isinf(f1) & np.isinf(f2))
-        a = np.where(keep_left, a, x1)
-        b = np.where(keep_left, x2, b)
-        x2_next = np.where(keep_left, x1, a + _INVPHI * (b - a))
-        x1_next = np.where(keep_left, b - _INVPHI * (b - a), x2)
-        new_point = np.where(keep_left, x1_next, x2_next)
-        f_new = f_at(new_point)
-        best = np.minimum(best, f_new)
-        f1_old = f1
-        f1 = np.where(keep_left, f_new, f2)  # right branch inherits old f2
-        f2 = np.where(keep_left, f1_old, f_new)  # left branch inherits old f1
-        x1, x2 = x1_next, x2_next
-    return np.minimum(best, f_at(np.full(n_cols, lo)))
+    values, _ = _secular_min(estimator.singular_values**2, vt2, eps)
+    return values + vperp2
 
 
 def _check_dims(
@@ -403,19 +392,7 @@ def robust_risk_mode_form(
     if eps == 0.0:
         return float(num.sum() + tail), 0.0
     shr2 = sigma_i**2
-    lo = float(shr2.max())
-    if lo == 0.0:
+    if float(shr2.max()) == 0.0:
         return float(num.sum() + tail), 0.0
-    eps2 = eps * eps
-
-    def objective(lam: float) -> float:
-        t = 1.0 - shr2 / lam
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(num == 0.0, 0.0, num / t)
-        return lam * eps2 + float(terms.sum()) + tail
-
-    problem = ScalarProblem(
-        objective, lower=lo, tolerance=1e-10 * max(1.0, lo), lower_inclusive=True
-    )
-    lam_star, value = minimize_convex(problem)
-    return value, lam_star
+    values, lam = _secular_min(shr2, num[:, None], eps)
+    return float(values[0] + tail), float(lam[0])

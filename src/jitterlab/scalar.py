@@ -1,11 +1,13 @@
 """One-dimensional convex minimization on a half-open or closed ray.
 
-The robust-risk machinery repeatedly minimizes convex scalar objectives of
-the form f(lam) = lam * eps^2 + sum_k v_k^2 / (1 - s_k^2 / lam) over
-lam > s_max^2, and relatives of it over lam >= 0.  All of them are convex on
-their ray, may have a pole at the lower endpoint, and have no useful upper
-bound.  minimize_convex handles exactly this shape: geometric bracket
-expansion away from the lower endpoint followed by golden-section search.
+Two scalar problems in the package are not secular equations: the
+conjectured estimator's dual F(lam) over lam >= 0, and the scan over
+jitter levels sigma_w >= 0 in best_jitter_level_analytic.  Both are
+convex on their ray, may have a pole at the lower endpoint, and have no
+useful upper bound.  minimize_convex handles exactly this shape:
+geometric bracket expansion away from the lower endpoint followed by
+golden-section search.  (The robust-risk inner maxima are solved by the
+secular Newton iteration in jitterlab.risk.)
 
 Conventions:
   * +inf objective values are legal and compare as "very large"; a pole at

@@ -259,3 +259,46 @@ def test_matrix_csv_round_trip(tmp_path):
     write_matrix_csv(est, path)
     arr = np.loadtxt(path, delimiter=",")
     assert np.max(np.abs(arr - est.matrix)) < 1e-12
+
+
+@pytest.mark.parametrize("rank", [0, 1, 5])  # 5 is full rank for a 6 x 5 map
+def test_factored_round_trip_at_every_rank(tmp_path, rank):
+    rng = np.random.default_rng(rank)
+    left = np.linalg.qr(rng.standard_normal((6, rank)))[0]
+    right = np.linalg.qr(rng.standard_normal((5, rank)))[0].T
+    s = np.sort(rng.uniform(0.1, 2.0, rank))[::-1]
+    est = LinearEstimator.from_factors(left, s, right)
+    path = os.path.join(tmp_path, "est.txt")
+    write_factored_text(est, path)
+    back = read_factored_text(path)
+    assert back.shape == (6, 5)
+    assert back.singular_values.shape == s.shape
+    assert np.max(np.abs(back.matrix - est.matrix), initial=0.0) < 1e-12
+
+
+def test_factored_read_rejects_truncated_block(tmp_path):
+    model, op, noise = _setup(n=8, d=3, spectrum="geometric")
+    est, _ = conjectured_robust_estimator(model, op, noise, 0.25)
+    path = os.path.join(tmp_path, "est.txt")
+    write_factored_text(est, path)
+    lines = open(path).read().splitlines()
+    del lines[3]  # one row of the left factor
+    open(path, "w").write("\n".join(lines) + "\n")
+    with pytest.raises(InvalidDimensionError):
+        read_factored_text(path)
+    lines = open(os.path.join(tmp_path, "est.txt")).read().splitlines()
+    header = lines.index("# singular_values 3")
+    lines[header + 1] = " ".join(lines[header + 1].split()[:2])
+    open(path, "w").write("\n".join(lines) + "\n")
+    with pytest.raises(InvalidDimensionError):
+        read_factored_text(path)
+
+
+def test_factored_read_rejects_bad_headers(tmp_path):
+    path = os.path.join(tmp_path, "est.txt")
+    open(path, "w").write("# left 1 x\n1\n\n# singular_values 1\n1\n\n# right 1 1\n1\n")
+    with pytest.raises(InvalidParameterError):
+        read_factored_text(path)
+    open(path, "w").write("# left 1 1\n1\n\n# right 1 1\n1\n")
+    with pytest.raises(InvalidParameterError):
+        read_factored_text(path)

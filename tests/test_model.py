@@ -144,3 +144,23 @@ def test_operator_model_dimension_mismatch():
     op = make_diagonal_operator(12, "identity")
     with pytest.raises(InvalidDimensionError):
         op.au_svd(model)
+
+
+def test_au_svd_cache_never_serves_a_dead_model():
+    # Models created and dropped in turn free their bases, and CPython hands
+    # the freed ids to later arrays; the cache must not confuse them.
+    op = make_diagonal_operator(20, "linear-decay")
+    for s in range(200):
+        model = make_subspace(20, 5, 1.0, seed=s)
+        _, lam, _ = op.au_svd(model)
+        expect = np.linalg.svd(op.matrix @ model.basis, compute_uv=False)
+        assert np.max(np.abs(lam - expect)) < 1e-12
+        del model
+    assert len(op._svd_cache) <= 8
+
+
+def test_au_svd_cache_returns_same_factors_for_live_model():
+    op = make_diagonal_operator(12, "geometric", ratio=0.9)
+    model = make_subspace(12, 4, 1.0, seed=1)
+    first = op.au_svd(model)
+    assert all(a is b for a, b in zip(first, op.au_svd(model)))
