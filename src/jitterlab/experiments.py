@@ -33,16 +33,12 @@ from .model import (
     ForwardOperator,
     NoiseModel,
     SubspaceModel,
+    _sub_seed,
+    draw_sample_arrays,
     make_diagonal_operator,
     make_subspace,
 )
-from .risk import (
-    dual_values_batch,
-    robust_risk_mode_form,
-    standard_risk_closed_form,
-    _mean_ci,
-    residuals,
-)
+from .risk import RiskReport, certify, robust_risk_mode_form, standard_risk_closed_form
 from .scalar import ScalarProblem, minimize_convex
 from .training import TrainConfig, SweepResult, sweep_jitter_levels, train
 
@@ -225,6 +221,11 @@ def _g(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _risk_cells(report: RiskReport, k: int, n: int) -> str:
+    """Per-coordinate risk, ci_low and ci_high of entry k of a report."""
+    return f"{_g(report.values[k] / n)},{_g(report.ci_low[k] / n)},{_g(report.ci_high[k] / n)}"
+
+
 def _build_setup(cfg: dict) -> tuple[SubspaceModel, ForwardOperator, NoiseModel]:
     if cfg["operator"] not in ("identity", "linear-decay", "geometric"):
         raise ConfigError(f"unknown operator {cfg['operator']!r}")
@@ -232,10 +233,6 @@ def _build_setup(cfg: dict) -> tuple[SubspaceModel, ForwardOperator, NoiseModel]
     op = make_diagonal_operator(cfg["n"], cfg["operator"], cfg.get("ratio"))
     noise = NoiseModel(m=cfg["m"], sigma_z=cfg["sigma_z"])
     return model, op, noise
-
-
-def _sub_seed(master: int, *path: int) -> int:
-    return int(np.random.SeedSequence(master, spawn_key=path).generate_state(1)[0])
 
 
 def cmd_alpha_curve(cfg: dict) -> str:
@@ -276,7 +273,8 @@ def cmd_equivalence(cfg: dict) -> str:
 
     One standard model serves every eps; adversarial and jittering models
     are trained per eps (the jitter level is the closed-form sigma_w(eps)).
-    All evaluations share one sample draw, and the closed-form optimal risk
+    One evaluation set is drawn after the standard model is trained and
+    every estimator is certified on it, and the closed-form optimal risk
     is emitted as a fourth method.  Risk columns are per-coordinate.
     """
     if cfg["operator"] != "identity":
@@ -284,10 +282,10 @@ def cmd_equivalence(cfg: dict) -> str:
     model, op, noise = _build_setup(cfg)
     n = model.n
     sigma_c, sigma_z, d = model.sigma_c, noise.sigma_z, model.d
-    eval_seed = _sub_seed(cfg["seed"], 0)
-    eval_n = cfg["eval_samples"]
 
     std_trace = train(model, op, noise, _train_config(cfg, "standard", _sub_seed(cfg["seed"], 1)))
+    x, y, _ = draw_sample_arrays(model, op, noise, cfg["eval_samples"], _sub_seed(cfg["seed"], 0))
+    std = certify(std_trace.estimator, x, y, cfg["eps_grid"])
     rows = []
     for j, eps in enumerate(cfg["eps_grid"]):
         eps = float(eps)
@@ -300,17 +298,12 @@ def cmd_equivalence(cfg: dict) -> str:
             model, op, noise,
             _train_config(cfg, "jittering", _sub_seed(cfg["seed"], 3 + 2 * j), sigma_w=sw),
         )
-        for method, est in (
-            ("standard", std_trace.estimator),
-            ("adversarial", adv_trace.estimator),
-            ("jittering", jit_trace.estimator),
+        for method, cells in (
+            ("standard", _risk_cells(std, j, n)),
+            ("adversarial", _risk_cells(certify(adv_trace.estimator, x, y, eps), 0, n)),
+            ("jittering", _risk_cells(certify(jit_trace.estimator, x, y, eps), 0, n)),
         ):
-            v = residuals(est, model, op, noise, eval_n, eval_seed)
-            mean, lo, hi = _mean_ci(dual_values_batch(est, v, eps))
-            rows.append(
-                f"{method},{_g(eps)},{_g(eps**2 / sigma_c**2)},"
-                f"{_g(mean / n)},{_g(lo / n)},{_g(hi / n)}\n"
-            )
+            rows.append(f"{method},{_g(eps)},{_g(eps**2 / sigma_c**2)},{cells}\n")
         alpha_star = optimal_robust_alpha(sigma_c, sigma_z, d, model.n, eps)
         opt = (eps * alpha_star + np.sqrt(
             standard_risk_closed_form(alpha_star, sigma_c, sigma_z, d, model.n)
@@ -356,37 +349,30 @@ def cmd_gap(cfg: dict) -> str:
     """Standard vs best-jittering vs conjectured estimators, general operator.
 
     The jitter level is optimized per eps by scalar minimization of the
-    analytic mode-form risk; all three estimators are then Monte-Carlo
-    evaluated on one shared draw.  Risk columns are per-coordinate.
+    analytic mode-form risk.  One evaluation set is drawn for the whole
+    run: the standard estimator is certified on it over the full eps grid,
+    and each per-eps estimator at its own eps.  Risk columns are
+    per-coordinate.
     """
     if cfg["operator"] not in ("linear-decay", "geometric"):
         raise ConfigError("gap needs operator=linear-decay or geometric")
     model, op, noise = _build_setup(cfg)
     n = model.n
-    eval_seed = _sub_seed(cfg["seed"], 0)
-    eval_n = cfg["eval_samples"]
-    standard = mmse_estimator(model, op, noise)
+    x, y, _ = draw_sample_arrays(model, op, noise, cfg["eval_samples"], _sub_seed(cfg["seed"], 0))
+    std = certify(mmse_estimator(model, op, noise), x, y, cfg["eps_grid"])
     rows = []
-    for eps in cfg["eps_grid"]:
+    for j, eps in enumerate(cfg["eps_grid"]):
         eps = float(eps)
+        cells = [_risk_cells(std, j, n)]
         if eps == 0.0:
-            jit = standard
-            conj = standard
+            cells *= 3  # all three estimators are the standard one at eps = 0
         else:
             sw_star, _ = best_jitter_level_analytic(model, op, noise, eps)
             jit = optimal_jittering_estimator(model, op, noise, sw_star)
             conj, _ = conjectured_robust_estimator(model, op, noise, eps)
-        for method, est in (
-            ("standard", standard),
-            ("jittering-best", jit),
-            ("conjectured", conj),
-        ):
-            v = residuals(est, model, op, noise, eval_n, eval_seed)
-            mean, lo, hi = _mean_ci(dual_values_batch(est, v, eps))
-            rows.append(
-                f"{method},{_g(eps)},{_g(eps**2 / model.sigma_c**2)},"
-                f"{_g(mean / n)},{_g(lo / n)},{_g(hi / n)}\n"
-            )
+            cells += [_risk_cells(certify(est, x, y, eps), 0, n) for est in (jit, conj)]
+        for method, cell in zip(("standard", "jittering-best", "conjectured"), cells):
+            rows.append(f"{method},{_g(eps)},{_g(eps**2 / model.sigma_c**2)},{cell}\n")
     text = _header("gap", cfg, "method,eps,eps_sq_rel,risk,ci_low,ci_high") + "".join(rows)
     if cfg["out"]:
         write_atomic(cfg["out"], text)
@@ -396,9 +382,11 @@ def cmd_gap(cfg: dict) -> str:
 def cmd_large_eps(cfg: dict) -> str:
     """Adversarially trained denoisers across the eps^2 ~ sigma_c^2 transition.
 
-    noise_levels are sigma_z/sqrt(n) values.  Emits per-coordinate risk and
-    the trained Frobenius norm; past the transition the estimator collapses
-    toward zero and the risk plateaus at sigma_c^2/n per coordinate.
+    noise_levels are sigma_z/sqrt(n) values.  Each level trains its
+    estimators first, then draws one evaluation set and certifies them all
+    on it.  Emits per-coordinate risk and the trained Frobenius norm; past
+    the transition the estimator collapses toward zero and the risk
+    plateaus at sigma_c^2/n per coordinate.
     """
     if cfg["operator"] != "identity":
         raise ConfigError("large-eps runs the denoising setup: operator=identity")
@@ -408,21 +396,21 @@ def cmd_large_eps(cfg: dict) -> str:
         level_cfg = dict(cfg)
         level_cfg["sigma_z"] = float(level * np.sqrt(cfg["n"]))
         model, op, noise = _build_setup(level_cfg)
-        eval_seed = _sub_seed(cfg["seed"], 100 + li)
+        trained = []
         for j, rel in enumerate(cfg["eps_sq_rel_grid"]):
             eps = float(np.sqrt(rel) * sigma_c)
             trace = train(
                 model, op, noise,
                 _train_config(cfg, "adversarial", _sub_seed(cfg["seed"], 200 + 10 * li + j), eps=eps),
             )
-            est = trace.estimator
-            v = residuals(est, model, op, noise, cfg["eval_samples"], eval_seed)
-            mean, lo, hi = _mean_ci(dual_values_batch(est, v, eps))
-            n = model.n
-            rows.append(
-                f"{_g(level)},{_g(eps)},{_g(rel)},{_g(mean / n)},{_g(lo / n)},"
-                f"{_g(hi / n)},{_g(est.frobenius_norm())}\n"
-            )
+            trained.append((rel, eps, trace.estimator))
+        x, y, _ = draw_sample_arrays(
+            model, op, noise, cfg["eval_samples"], _sub_seed(cfg["seed"], 100 + li)
+        )
+        for rel, eps, est in trained:
+            cells = _risk_cells(certify(est, x, y, eps), 0, model.n)
+            rows.append(f"{_g(level)},{_g(eps)},{_g(rel)},{cells},{_g(est.frobenius_norm())}\n")
+        del x, y  # free this level's evaluation set before the next level trains and draws
     text = _header(
         "large-eps", cfg, "noise_level,eps,eps_sq_rel,risk,ci_low,ci_high,h_frob"
     ) + "".join(rows)

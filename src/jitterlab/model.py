@@ -40,6 +40,11 @@ def rng_stream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=path)))
 
 
+def _sub_seed(master: int, *path: int) -> int:
+    """Integer seed for one (master, path) coordinate, as a SeedSequence spawn key."""
+    return int(np.random.SeedSequence(master, spawn_key=path).generate_state(1)[0])
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float, copy=True, order="C")
     out.setflags(write=False)
@@ -207,16 +212,15 @@ def draw_latents(
     if count < 0:
         raise InvalidParameterError(f"count must be >= 0, got {count}")
     d, m = model.d, noise.m
-    c_cols, z_cols = [], []
+    c, z = np.empty((d, count)), np.empty((m, count))
+    c_scale, z_scale = model.sigma_c / np.sqrt(d), noise.per_coordinate_std
     for start in range(0, count, _CHUNK):
         size = min(_CHUNK, count - start)
         g = rng_stream(seed, start // _CHUNK)
         # Full-chunk draws, sliced: the first k samples never depend on count.
-        c_cols.append(g.standard_normal((d, _CHUNK))[:, :size])
-        z_cols.append(g.standard_normal((m, _CHUNK))[:, :size])
-    c = np.concatenate(c_cols, axis=1) if c_cols else np.zeros((d, 0))
-    z = np.concatenate(z_cols, axis=1) if z_cols else np.zeros((m, 0))
-    return (model.sigma_c / np.sqrt(d)) * c, noise.per_coordinate_std * z
+        np.multiply(c_scale, g.standard_normal((d, _CHUNK))[:, :size], out=c[:, start:start + size])
+        np.multiply(z_scale, g.standard_normal((m, _CHUNK))[:, :size], out=z[:, start:start + size])
+    return c, z
 
 
 def draw_sample_arrays(

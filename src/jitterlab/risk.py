@@ -19,8 +19,10 @@ weight vectors at once by Newton's method on its secular equation (More &
 Sorensen, "Computing a Trust Region Step", 1983).  It serves
 inner_max_dual, dual_values_batch and the analytic mode-form risk.
 
-Monte-Carlo risk estimates average the dual value over seeded samples and
-carry 66% confidence intervals (normal approximation, mean +- 0.954 SE).
+certify is the one Monte-Carlo certification path: on a pre-drawn
+evaluation set, shared by every estimator a driver compares, it averages
+the dual per eps with a 66% confidence interval (mean +- 0.954 SE).
+robust_risk_exact and robust_risk_curve are a seeded draw plus certify.
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ class RiskReport:
 
 def _mean_ci(values: np.ndarray) -> tuple[float, float, float]:
     mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
+    se = float(values.std(ddof=1) / math.sqrt(values.size))
     return mean, mean - CI_SCALE * se, mean + CI_SCALE * se
 
 
@@ -234,6 +236,35 @@ def residuals(
     return estimator.apply(y) - x
 
 
+def certify(
+    estimator: LinearEstimator, x: np.ndarray, y: np.ndarray, eps_grid: np.ndarray
+) -> RiskReport:
+    """Monte-Carlo robust risk of one estimator on a pre-drawn evaluation set.
+
+    x (n x N) and y (m x N) are paired signal and measurement columns.  The
+    residual H y - x is formed once; each eps then takes one batched dual
+    and a 66% interval over the N per-sample values.  Callers certify
+    every estimator they compare on the same (x, y), so differences
+    between estimators and between radii are not Monte-Carlo noise.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    n, m = estimator.shape
+    if x.ndim != 2 or y.ndim != 2 or x.shape[0] != n or y.shape[0] != m or x.shape[1] != y.shape[1]:
+        raise InvalidDimensionError(
+            f"estimator {estimator.shape} does not match signals {x.shape}, measurements {y.shape}"
+        )
+    if x.shape[1] < 2:
+        raise InvalidParameterError(f"need at least 2 samples, got {x.shape[1]}")
+    eps_grid = np.atleast_1d(np.asarray(eps_grid, dtype=float))
+    v = estimator.apply(y)
+    v -= x
+    stats = np.array(
+        [_mean_ci(dual_values_batch(estimator, v, float(eps))) for eps in eps_grid]
+    ).reshape(-1, 3)
+    values, ci_low, ci_high = stats.T
+    return RiskReport(eps_grid, values, ci_low, ci_high, x.shape[1], "exact-dual")
+
+
 def robust_risk_exact(
     estimator: LinearEstimator,
     model: SubspaceModel,
@@ -244,20 +275,7 @@ def robust_risk_exact(
     seed: int,
 ) -> RiskReport:
     """Monte-Carlo robust risk via the exact per-sample dual."""
-    if n_samples < 2:
-        raise InvalidParameterError(f"need n_samples >= 2, got {n_samples}")
-    _check_dims(estimator, model, op, noise)
-    v = residuals(estimator, model, op, noise, n_samples, seed)
-    vals = dual_values_batch(estimator, v, eps)
-    mean, lo, hi = _mean_ci(vals)
-    return RiskReport(
-        eps_grid=np.array([eps]),
-        values=np.array([mean]),
-        ci_low=np.array([lo]),
-        ci_high=np.array([hi]),
-        n_samples=n_samples,
-        method="exact-dual",
-    )
+    return robust_risk_curve(estimator, model, op, noise, np.array([eps]), n_samples, seed)
 
 
 def robust_risk_curve(
@@ -269,32 +287,14 @@ def robust_risk_curve(
     n_samples: int,
     seed: int,
 ) -> RiskReport:
-    """robust_risk_exact over an eps grid, sharing one sample draw.
+    """certify over an eps grid on one seeded draw of n_samples pairs.
 
     The common draw makes per-eps values (and comparisons between
     estimators evaluated with the same seed) positively coupled, which
     tightens paired comparisons without biasing the means.
     """
-    eps_grid = np.atleast_1d(np.asarray(eps_grid, dtype=float))
-    if n_samples < 2:
-        raise InvalidParameterError(f"need n_samples >= 2, got {n_samples}")
-    _check_dims(estimator, model, op, noise)
-    v = residuals(estimator, model, op, noise, n_samples, seed)
-    means, los, his = [], [], []
-    for eps in eps_grid:
-        vals = dual_values_batch(estimator, v, float(eps))
-        mean, lo, hi = _mean_ci(vals)
-        means.append(mean)
-        los.append(lo)
-        his.append(hi)
-    return RiskReport(
-        eps_grid=eps_grid,
-        values=np.array(means),
-        ci_low=np.array(los),
-        ci_high=np.array(his),
-        n_samples=n_samples,
-        method="exact-dual",
-    )
+    x, y, _ = draw_sample_arrays(model, op, noise, n_samples, seed)
+    return certify(estimator, x, y, eps_grid)
 
 
 def standard_risk_closed_form(

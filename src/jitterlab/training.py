@@ -29,8 +29,10 @@ from .errors import (
     TrainingDivergenceError,
 )
 from .estimators import LinearEstimator
-from .model import ForwardOperator, NoiseModel, SubspaceModel, rng_stream
-from .risk import RiskReport, _mean_ci, dual_values_batch, residuals
+from .model import (
+    ForwardOperator, NoiseModel, SubspaceModel, _sub_seed, draw_sample_arrays, rng_stream
+)
+from .risk import certify
 
 _OBJECTIVES = ("standard", "adversarial", "jittering")
 _OPTIMIZERS = ("sgd", "adaptive")
@@ -203,10 +205,6 @@ class SweepResult:
                     )
 
 
-def _spawned_seed(seed: int, index: int) -> int:
-    return int(np.random.SeedSequence(seed, spawn_key=(index,)).generate_state(1)[0])
-
-
 def sweep_jitter_levels(
     model: SubspaceModel,
     op: ForwardOperator,
@@ -219,17 +217,18 @@ def sweep_jitter_levels(
 ) -> SweepResult:
     """Train one jittering estimator per sigma_w; evaluate on every eps.
 
-    All grid cells share a single evaluation draw (paired comparison), so
-    the per-eps argmin over sigma_w is driven by estimator differences, not
-    by independent Monte-Carlo noise.  Training seeds derive from `seed`
-    per grid point; `base_config` carries every non-objective knob.
+    The evaluation set is drawn once, before any training, and every grid
+    cell is certified on it (paired comparison), so the per-eps argmin
+    over sigma_w is driven by estimator differences, not by independent
+    Monte-Carlo noise.  Training seeds derive from `seed` per grid point;
+    `base_config` carries every non-objective knob.
     """
     eps_grid = np.atleast_1d(np.asarray(eps_grid, dtype=float))
     sigma_w_grid = np.atleast_1d(np.asarray(sigma_w_grid, dtype=float))
     if eps_grid.size == 0 or sigma_w_grid.size == 0:
         raise InvalidParameterError("grids must be non-empty")
     base = base_config if base_config is not None else TrainConfig()
-    eval_seed = _spawned_seed(seed, 10**6)
+    x, y, _ = draw_sample_arrays(model, op, noise, eval_samples, _sub_seed(seed, 10**6))
 
     n_s, n_e = sigma_w_grid.size, eps_grid.size
     risks = np.empty((n_s, n_e))
@@ -237,14 +236,11 @@ def sweep_jitter_levels(
     ci_high = np.empty((n_s, n_e))
     for i, sw in enumerate(sigma_w_grid):
         config = replace(
-            base, objective="jittering", sigma_w=float(sw), seed=_spawned_seed(seed, i)
+            base, objective="jittering", sigma_w=float(sw), seed=_sub_seed(seed, i)
         )
         try:
-            trace = train(model, op, noise, config)
-            v = residuals(trace.estimator, model, op, noise, eval_samples, eval_seed)
-            for j, eps in enumerate(eps_grid):
-                vals = dual_values_batch(trace.estimator, v, float(eps))
-                risks[i, j], ci_low[i, j], ci_high[i, j] = _mean_ci(vals)
+            report = certify(train(model, op, noise, config).estimator, x, y, eps_grid)
+            risks[i], ci_low[i], ci_high[i] = report.values, report.ci_low, report.ci_high
         except Exception as exc:
             # Annotate with the grid coordinate, keeping the exception type.
             detail = f"sweep grid point sigma_w={sw} (row {i})"

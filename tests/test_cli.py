@@ -1,13 +1,16 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import jitterlab.model
 from jitterlab.cli import main
 from jitterlab.experiments import (
     COMMAND_DEFAULTS,
+    COMMAND_FUNCS,
     canonical_config,
     config_hash,
     parse_config_file,
@@ -129,12 +132,36 @@ def test_sweep_small_run_writes_argmin_file(tmp_path):
     assert rows2[0]["sigma_w_theory"] == "0"
 
 
+@pytest.mark.parametrize("command", ["gap", "equivalence", "large-eps", "sweep"])
+def test_drivers_draw_the_evaluation_set_once(monkeypatch, command):
+    # Every estimator and eps of a run is certified on one shared draw
+    # (one per noise level in large-eps); sweep draws inside
+    # sweep_jitter_levels.  Default grids, tiny sizes and budgets.
+    draws = []
+    real = jitterlab.model.draw_latents
+
+    def counting(*args, **kwargs):
+        draws.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(jitterlab.model, "draw_latents", counting)
+    cfg = resolve_config(
+        command, {"n": "12", "d": "4", "n_iterations": "2", "eval_samples": "20"}
+    )
+    COMMAND_FUNCS[command](cfg)
+    expected = len(cfg["noise_levels"]) if command == "large-eps" else 1
+    assert len(draws) == expected
+
+
 def test_entry_point_subprocess(tmp_path):
-    # the installed console script behaves like main()
+    # the installed console script behaves like main(); the child imports
+    # the same package as this process, installed or not
     out = str(tmp_path / "alpha.csv")
+    package_root = os.path.dirname(os.path.dirname(jitterlab.model.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "jitterlab.cli", "alpha-curve", "--out", out],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert open(out).readline().startswith("# config sha256=")

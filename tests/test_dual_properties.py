@@ -1,4 +1,4 @@
-"""Property tests for the secular-equation solver behind the robust-risk duals.
+"""Property tests for the robust-risk duals and the estimator invariants on them.
 
 Examples are generated from a seed plus a few shape parameters, so each
 case is cheap to build and shrinks to a small reproducer.  Budgets are
@@ -14,7 +14,14 @@ from hypothesis import strategies as st
 import jitterlab.risk as risk
 from jitterlab.attack import AttackConfig, pgd_attack, pgd_perturb_batch
 from jitterlab.errors import EvaluationError
-from jitterlab.estimators import LinearEstimator
+from jitterlab.estimators import (
+    LinearEstimator,
+    conjectured_robust_estimator,
+    optimal_jittering_estimator,
+    ridge_estimator,
+)
+from jitterlab.experiments import best_jitter_level_analytic
+from jitterlab.model import NoiseModel, make_diagonal_operator, make_subspace
 from jitterlab.risk import dual_values_batch, inner_max_dual, robust_risk_mode_form
 from jitterlab.scalar import ScalarProblem, minimize_convex
 
@@ -210,6 +217,61 @@ def test_mode_form_lambda_solves_secular_equation(seed, k, sigma_c, sigma_z, eps
         # lam - max s2 carries an absolute rounding error of a few ulp(lam).
         slack = 1e-9 + 8 * np.finfo(float).eps * lam / (lam - top2)
         assert abs(p_norm - eps) <= slack * eps
+
+
+spectra = st.sampled_from(["identity", "linear-decay", "geometric"])
+
+
+@_FAST
+@given(
+    seeds,
+    st.integers(1, 12),
+    st.integers(1, 12),
+    spectra,
+    st.floats(0.3, 1.0),
+    st.floats(0.5, 2.0),
+    st.floats(0.05, 1.2),
+    st.floats(0.0, 1.5),
+)
+def test_ridge_equals_jittering(seed, n, d, spectrum, ratio, sigma_c, sigma_z, sigma_w):
+    # Jittering at level sigma_w is ridge regression at weight sigma_w^2;
+    # ridge solves dense normal equations, jittering uses the A U modes.
+    d = min(d, n)
+    model = make_subspace(n, d, sigma_c, seed=seed)
+    op = make_diagonal_operator(n, spectrum, ratio=ratio)
+    noise = NoiseModel(m=n, sigma_z=sigma_z)
+    rid = ridge_estimator(model, op, noise, sigma_w**2)
+    jit = optimal_jittering_estimator(model, op, noise, sigma_w)
+    assert np.max(np.abs(rid.matrix - jit.matrix)) <= 1e-10
+
+
+@_FAST
+@given(
+    seeds,
+    st.integers(1, 10),
+    st.integers(1, 10),
+    st.sampled_from(["linear-decay", "geometric"]),
+    st.floats(0.3, 0.95),
+    st.floats(0.5, 2.0),
+    st.floats(0.05, 1.0),
+    st.floats(0.05, 0.6),
+)
+def test_conjectured_risk_at_most_best_jitter_risk(
+    seed, n, d, spectrum, ratio, sigma_c, sigma_z, eps_rel
+):
+    # The conjectured shrinkage minimizes the mode-form risk over every
+    # per-mode profile, and each jitter level gives one such profile.
+    d = min(d, n)
+    eps = eps_rel * sigma_c
+    model = make_subspace(n, d, sigma_c, seed=seed)
+    op = make_diagonal_operator(n, spectrum, ratio=ratio)
+    noise = NoiseModel(m=n, sigma_z=sigma_z)
+    _, profile = conjectured_robust_estimator(model, op, noise, eps)
+    conj, _ = robust_risk_mode_form(
+        profile.sigma_i, profile.lambda_i, sigma_c, sigma_z, d, n, eps
+    )
+    _, jit = best_jitter_level_analytic(model, op, noise, eps)
+    assert conj <= jit * (1 + 1e-12)
 
 
 def test_non_convergence_raises(monkeypatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jitterlab.errors import DegenerateInputError, InvalidParameterError
+from jitterlab.errors import DegenerateInputError, InvalidDimensionError, InvalidParameterError
 from jitterlab.estimators import (
     LinearEstimator,
     conjectured_robust_estimator,
@@ -10,10 +10,12 @@ from jitterlab.estimators import (
     optimal_robust_alpha,
     optimal_robust_denoiser,
 )
-from jitterlab.model import NoiseModel, make_diagonal_operator, make_subspace
+from jitterlab.model import NoiseModel, draw_sample_arrays, make_diagonal_operator, make_subspace
 from jitterlab.risk import (
     CI_SCALE,
     RiskReport,
+    _mean_ci,
+    certify,
     dual_values_batch,
     inner_max_dual,
     jittering_risk_closed_form,
@@ -24,6 +26,7 @@ from jitterlab.risk import (
     standard_risk_closed_form,
     worst_case_perturbation_projection,
 )
+from jitterlab.training import TrainConfig, train
 
 
 def _setup(n=24, d=8, sigma_c=1.0, sigma_z=0.5, spectrum="identity", seed=0):
@@ -244,6 +247,49 @@ def test_robust_risk_curve_monotone_and_shared_draw():
     # paired draws: the eps=0 entry of the curve equals a direct eps=0 report
     single = robust_risk_exact(est, model, op, noise, 0.0, 500, seed=5)
     assert rep.values[0] == pytest.approx(single.values[0])
+
+
+def _certify_estimator(kind, model, op, noise):
+    n, m = model.n, noise.m
+    if kind == "dense-trained":
+        return train(model, op, noise, TrainConfig(n_iterations=40, seed=2)).estimator
+    if kind == "factored-closed-form":
+        return optimal_jittering_estimator(model, op, noise, 0.3)
+    return LinearEstimator.from_factors(np.zeros((n, 0)), np.zeros(0), np.zeros((0, m)))
+
+
+@pytest.mark.parametrize("kind", ["dense-trained", "factored-closed-form", "rank-0"])
+def test_certify_equals_residual_dual_ci(kind):
+    model, op, noise = _setup(n=16, d=5, sigma_z=0.4, spectrum="linear-decay")
+    est = _certify_estimator(kind, model, op, noise)
+    grid = np.array([0.0, 0.1, 0.35, 1.0])
+    x, y, _ = draw_sample_arrays(model, op, noise, 300, 7)
+    rep = certify(est, x, y, grid)
+    v = residuals(est, model, op, noise, 300, 7)
+    ref = np.array([_mean_ci(dual_values_batch(est, v, float(e))) for e in grid])
+    assert rep.values.tolist() == ref[:, 0].tolist()
+    assert rep.ci_low.tolist() == ref[:, 1].tolist()
+    assert rep.ci_high.tolist() == ref[:, 2].tolist()
+    assert rep.eps_grid.tolist() == grid.tolist()
+    assert (rep.n_samples, rep.method) == (300, "exact-dual")
+
+
+def test_certify_rejects_mismatched_or_short_input():
+    model, op, noise = _setup(n=10, d=3)
+    est = mmse_estimator(model, op, noise)
+    x, y, _ = draw_sample_arrays(model, op, noise, 20, 1)
+    for bad_x, bad_y in (
+        (np.vstack([x, x[:1]]), y),  # extra signal row
+        (x, y[:-1]),  # missing measurement row
+        (x[:, :-1], y),  # unpaired columns
+        (x[:, 0], y[:, 0]),  # single vectors, not column blocks
+    ):
+        with pytest.raises(InvalidDimensionError):
+            certify(est, bad_x, bad_y, [0.1])
+    with pytest.raises(InvalidParameterError):
+        certify(est, x[:, :1], y[:, :1], [0.1])
+    with pytest.raises(InvalidParameterError):
+        certify(est, x, y, [0.1, -0.2])
 
 
 def test_ci_is_066_scaled_standard_error():
