@@ -19,7 +19,6 @@ step/restart budgets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -52,21 +51,8 @@ class AttackConfig:
             raise InvalidParameterError("need step_scale > 0 and restart_scale in [0, 1]")
 
 
-def _linear_value_and_grad(
-    estimator: LinearEstimator, x: np.ndarray, y: np.ndarray
-) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
-    h = estimator.matrix
-    r0 = h @ y - x
-
-    def value_and_grad(e: np.ndarray) -> tuple[float, np.ndarray]:
-        resid = r0 + h @ e
-        return float(resid @ resid), 2.0 * (h.T @ resid)
-
-    return value_and_grad
-
-
 def pgd_attack(
-    estimator,
+    estimator: LinearEstimator,
     x: np.ndarray,
     y: np.ndarray,
     config: AttackConfig,
@@ -74,18 +60,18 @@ def pgd_attack(
 ) -> tuple[np.ndarray, float]:
     """Best perturbation found by projected gradient ascent.
 
-    `estimator` is either a LinearEstimator (analytic gradient) or a
-    callable e -> (squared_error, gradient_wrt_e) for anything
-    differentiable.  Returns (perturbation, value) with ||perturbation||
-    <= eps and value the max of the squared error over every iterate
-    visited.  A zero gradient leaves the iterate unchanged for that step.
+    Returns (perturbation, value) with ||perturbation|| <= eps and value
+    the max of the squared error over every iterate visited.  A zero
+    gradient leaves the iterate unchanged for that step.
     """
-    x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if isinstance(estimator, LinearEstimator):
-        value_and_grad = _linear_value_and_grad(estimator, x, y)
-    else:
-        value_and_grad = estimator
+    h = estimator.matrix
+    r0 = h @ y - np.asarray(x, dtype=float)
+
+    def value_and_grad(e: np.ndarray) -> tuple[float, np.ndarray]:
+        resid = r0 + h @ e
+        return float(resid @ resid), 2.0 * (h.T @ resid)
+
     m = y.shape[0]
     eps = config.eps
 

@@ -33,7 +33,7 @@ from .errors import (
     InvalidParameterError,
     OutOfRegimeError,
 )
-from .model import ForwardOperator, NoiseModel, SubspaceModel
+from .model import ForwardOperator, NoiseModel, SubspaceModel, _check_triple
 from .scalar import ScalarProblem, minimize_convex
 
 _FACTOR_TOL = 1e-8
@@ -234,24 +234,31 @@ def jitter_level_for_eps(
     return float(np.sqrt(num / (d * (sc2 - eps**2))))
 
 
+def _jittering_shrinkage(
+    model: SubspaceModel, noise: NoiseModel, lam: np.ndarray, sigma_w: float
+) -> np.ndarray:
+    """Jittering-optimal shrinkage per mode of A U, on its singular values lam.
+
+    sigma_i = sigma_c^2 lambda_i / (sigma_c^2 lambda_i^2 + sigma_z^2 d/m + sigma_w^2 d).
+    """
+    sc2 = model.sigma_c**2
+    denom = sc2 * lam**2 + noise.sigma_z**2 * model.d / noise.m + sigma_w**2 * model.d
+    return sc2 * lam / denom
+
+
 def optimal_jittering_estimator(
     model: SubspaceModel, op: ForwardOperator, noise: NoiseModel, sigma_w: float
 ) -> LinearEstimator:
     """Minimizer of the jittering risk E||H(y+w) - x||^2, w ~ N(0, sigma_w^2 I).
 
-    Per mode of A U: sigma_i = sigma_c^2 lambda_i
-    / (sigma_c^2 lambda_i^2 + sigma_z^2 d/m + sigma_w^2 d).
+    H = (U V') diag(sigma_i) W' with the per-mode shrinkage of
+    _jittering_shrinkage.
     """
     if sigma_w < 0:
         raise InvalidParameterError(f"sigma_w must be >= 0, got {sigma_w}")
+    _check_triple(model, op, noise)
     w, lam, v = op.au_svd(model)
-    if op.m != noise.m:
-        raise InvalidDimensionError(
-            f"operator has {op.m} rows but noise lives in dimension {noise.m}"
-        )
-    sc2 = model.sigma_c**2
-    denom = sc2 * lam**2 + noise.sigma_z**2 * model.d / noise.m + sigma_w**2 * model.d
-    sigma = sc2 * lam / denom
+    sigma = _jittering_shrinkage(model, noise, lam, sigma_w)
     return LinearEstimator.from_factors(model.basis @ v.T, sigma, w.T)
 
 
@@ -279,10 +286,7 @@ def conjectured_robust_estimator(
     """
     if eps <= 0:
         raise InvalidParameterError(f"eps must be > 0, got {eps}")
-    if op.m != noise.m:
-        raise InvalidDimensionError(
-            f"operator has {op.m} rows but noise lives in dimension {noise.m}"
-        )
+    _check_triple(model, op, noise)
     w, lam_fwd, v = op.au_svd(model)
     observed = lam_fwd > 0.0
     t2 = lam_fwd[observed] ** 2
@@ -331,8 +335,7 @@ def ridge_estimator(
     """
     if reg < 0:
         raise InvalidParameterError(f"reg must be >= 0, got {reg}")
-    if op.n != model.n or op.m != noise.m:
-        raise InvalidDimensionError("operator dimensions do not match model/noise")
+    _check_triple(model, op, noise)
     b = op.matrix @ model.basis  # m x d
     s2 = model.sigma_c**2 / model.d
     z2 = noise.sigma_z**2 / noise.m

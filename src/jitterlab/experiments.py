@@ -16,6 +16,7 @@ eps^2/sigma_c^2 are emitted.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import tempfile
 
@@ -38,8 +39,7 @@ from .model import (
     make_diagonal_operator,
     make_subspace,
 )
-from .risk import RiskReport, certify, robust_risk_mode_form, standard_risk_closed_form
-from .scalar import ScalarProblem, minimize_convex
+from .risk import RiskReport, best_jitter_level_analytic, certify, standard_risk_closed_form
 from .training import TrainConfig, SweepResult, sweep_jitter_levels, train
 
 COMMANDS = ("alpha-curve", "equivalence", "gap", "large-eps", "sweep")
@@ -50,7 +50,10 @@ def _parse_int(text: str) -> int:
 
 
 def _parse_float(text: str) -> float:
-    return float(text)
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("value must be finite")
+    return value
 
 
 def _parse_str(text: str) -> str:
@@ -60,7 +63,7 @@ def _parse_str(text: str) -> str:
 def _parse_float_list(text: str) -> tuple[float, ...]:
     if text.strip() == "":
         return ()
-    return tuple(float(tok) for tok in text.split(","))
+    return tuple(_parse_float(tok) for tok in text.split(","))
 
 
 # key -> (parser, help)
@@ -173,6 +176,8 @@ def resolve_config(command: str, raw_items: dict[str, str]) -> dict:
             cfg[key] = parser(text)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {text!r} ({exc})") from exc
+        if cfg[key] == () and key != "sigma_w_grid":  # an empty sigma_w_grid means auto
+            raise ConfigError(f"{key!r} needs at least one value")
     if "n" in raw_items and "m" not in raw_items:
         cfg["m"] = cfg["n"]  # measurement count tracks n unless set explicitly
     return cfg
@@ -212,9 +217,13 @@ def write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _header(command: str, cfg: dict, columns: str) -> str:
+def _emit(command: str, cfg: dict, columns: str, rows: list[str], path: str) -> str:
+    """Config comment, column header and rows; written atomically to path if set."""
     canonical = canonical_config(command, cfg)
-    return f"# config sha256={config_hash(canonical)} {canonical}\n{columns}\n"
+    text = f"# config sha256={config_hash(canonical)} {canonical}\n{columns}\n" + "".join(rows)
+    if path:
+        write_atomic(path, text)
+    return text
 
 
 def _g(x: float) -> str:
@@ -249,10 +258,7 @@ def cmd_alpha_curve(cfg: dict) -> str:
             rows.append(
                 f"{_g(level)},{_g(eps)},{_g(eps**2 / sigma_c**2)},{_g(alpha)}\n"
             )
-    text = _header("alpha-curve", cfg, "noise_level,eps,eps_sq_rel,alpha") + "".join(rows)
-    if cfg["out"]:
-        write_atomic(cfg["out"], text)
-    return text
+    return _emit("alpha-curve", cfg, "noise_level,eps,eps_sq_rel,alpha", rows, cfg["out"])
 
 
 def _train_config(cfg: dict, objective: str, seed: int, **kwargs) -> TrainConfig:
@@ -312,37 +318,8 @@ def cmd_equivalence(cfg: dict) -> str:
             f"optimal,{_g(eps)},{_g(eps**2 / sigma_c**2)},"
             f"{_g(opt / n)},{_g(opt / n)},{_g(opt / n)}\n"
         )
-    text = _header(
-        "equivalence", cfg, "method,eps,eps_sq_rel,risk,ci_low,ci_high"
-    ) + "".join(rows)
-    if cfg["out"]:
-        write_atomic(cfg["out"], text)
-    return text
-
-
-def best_jitter_level_analytic(
-    model: SubspaceModel, op: ForwardOperator, noise: NoiseModel, eps: float
-) -> tuple[float, float]:
-    """Jitter level minimizing the analytic robust risk of H_J(sigma_w).
-
-    Scans sigma_w >= 0 with the scalar minimizer; each evaluation solves
-    the one-dimensional mode-form dual.  Returns (sigma_w_star, risk).
-    """
-    w_, lam, v_ = op.au_svd(model)
-    sc2 = model.sigma_c**2
-
-    def risk_of(sigma_w: float) -> float:
-        denom = sc2 * lam**2 + noise.sigma_z**2 * model.d / noise.m + sigma_w**2 * model.d
-        sigma = sc2 * lam / denom
-        value, _ = robust_risk_mode_form(
-            sigma, lam, model.sigma_c, noise.sigma_z, model.d, noise.m, eps
-        )
-        return value
-
-    sw, value = minimize_convex(
-        ScalarProblem(risk_of, lower=0.0, tolerance=1e-9, lower_inclusive=True)
-    )
-    return sw, value
+    columns = "method,eps,eps_sq_rel,risk,ci_low,ci_high"
+    return _emit("equivalence", cfg, columns, rows, cfg["out"])
 
 
 def cmd_gap(cfg: dict) -> str:
@@ -373,10 +350,7 @@ def cmd_gap(cfg: dict) -> str:
             cells += [_risk_cells(certify(est, x, y, eps), 0, n) for est in (jit, conj)]
         for method, cell in zip(("standard", "jittering-best", "conjectured"), cells):
             rows.append(f"{method},{_g(eps)},{_g(eps**2 / model.sigma_c**2)},{cell}\n")
-    text = _header("gap", cfg, "method,eps,eps_sq_rel,risk,ci_low,ci_high") + "".join(rows)
-    if cfg["out"]:
-        write_atomic(cfg["out"], text)
-    return text
+    return _emit("gap", cfg, "method,eps,eps_sq_rel,risk,ci_low,ci_high", rows, cfg["out"])
 
 
 def cmd_large_eps(cfg: dict) -> str:
@@ -411,12 +385,8 @@ def cmd_large_eps(cfg: dict) -> str:
             cells = _risk_cells(certify(est, x, y, eps), 0, model.n)
             rows.append(f"{_g(level)},{_g(eps)},{_g(rel)},{cells},{_g(est.frobenius_norm())}\n")
         del x, y  # free this level's evaluation set before the next level trains and draws
-    text = _header(
-        "large-eps", cfg, "noise_level,eps,eps_sq_rel,risk,ci_low,ci_high,h_frob"
-    ) + "".join(rows)
-    if cfg["out"]:
-        write_atomic(cfg["out"], text)
-    return text
+    columns = "noise_level,eps,eps_sq_rel,risk,ci_low,ci_high,h_frob"
+    return _emit("large-eps", cfg, columns, rows, cfg["out"])
 
 
 def _auto_sigma_w_grid(cfg: dict) -> tuple[float, ...]:
@@ -452,8 +422,6 @@ def cmd_sweep(cfg: dict) -> str:
                 f"{_g(sw)},{_g(eps)},{_g(result.risks[i, j])},"
                 f"{_g(result.ci_low[i, j])},{_g(result.ci_high[i, j])}\n"
             )
-    text = _header("sweep", cfg, "sigma_w,eps,risk,ci_low,ci_high") + "".join(rows)
-
     argmin_rows = []
     for j, eps in enumerate(result.eps_grid):
         theory = jitter_level_for_eps(
@@ -462,14 +430,10 @@ def cmd_sweep(cfg: dict) -> str:
         argmin_rows.append(
             f"{_g(eps)},{_g(result.argmin_sigma_w[j])},{_g(theory)}\n"
         )
-    argmin_text = _header(
-        "sweep", cfg, "eps,sigma_w_star,sigma_w_theory"
-    ) + "".join(argmin_rows)
-
-    if cfg["out"]:
-        write_atomic(cfg["out"], text)
-        stem, ext = os.path.splitext(cfg["out"])
-        write_atomic(f"{stem}_argmin{ext or '.csv'}", argmin_text)
+    text = _emit("sweep", cfg, "sigma_w,eps,risk,ci_low,ci_high", rows, cfg["out"])
+    stem, ext = os.path.splitext(cfg["out"])
+    argmin_path = f"{stem}_argmin{ext or '.csv'}" if cfg["out"] else ""
+    _emit("sweep", cfg, "eps,sigma_w_star,sigma_w_theory", argmin_rows, argmin_path)
     return text
 
 

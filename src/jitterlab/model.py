@@ -14,7 +14,7 @@ parallelizable by chunk without shared state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,15 +101,6 @@ class NoiseModel:
         return self.sigma_z / np.sqrt(self.m)
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One (signal, measurement, latent) triple: x = U c, y = A x + z."""
-
-    x: np.ndarray
-    y: np.ndarray
-    c: np.ndarray
-
-
 class ForwardOperator:
     """Linear measurement map A (m x n), with the SVD of A U on demand.
 
@@ -191,6 +182,7 @@ def make_diagonal_operator(n: int, spectrum: str, ratio: float | None = None) ->
 
 
 def _check_triple(model: SubspaceModel, op: ForwardOperator, noise: NoiseModel) -> None:
+    """The one check that A (m x n) maps the model's R^n into the noise's R^m."""
     if op.n != model.n:
         raise InvalidDimensionError(
             f"operator has {op.n} columns but model is {model.n}-dimensional"
@@ -232,11 +224,3 @@ def draw_sample_arrays(
     x = model.basis @ c
     y = op.matrix @ x + z
     return x, y, c
-
-
-def sample_pairs(
-    model: SubspaceModel, op: ForwardOperator, noise: NoiseModel, count: int, seed: int
-) -> list[Sample]:
-    """Seeded list of (x, y, c) samples with x = U c and y = A x + z."""
-    x, y, c = draw_sample_arrays(model, op, noise, count, seed)
-    return [Sample(x=x[:, j].copy(), y=y[:, j].copy(), c=c[:, j].copy()) for j in range(count)]

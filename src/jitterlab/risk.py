@@ -22,7 +22,10 @@ inner_max_dual, dual_values_batch and the analytic mode-form risk.
 certify is the one Monte-Carlo certification path: on a pre-drawn
 evaluation set, shared by every estimator a driver compares, it averages
 the dual per eps with a 66% confidence interval (mean +- 0.954 SE).
-robust_risk_exact and robust_risk_curve are a seeded draw plus certify.
+robust_risk_exact is a seeded draw plus certify.
+
+best_jitter_level_analytic scans jitter levels for the one whose
+jittering-optimal estimator has the least analytic mode-form risk.
 """
 
 from __future__ import annotations
@@ -38,22 +41,20 @@ from .errors import (
     InvalidDimensionError,
     InvalidParameterError,
 )
-from .estimators import LinearEstimator
-from .model import ForwardOperator, NoiseModel, SubspaceModel, draw_sample_arrays
+from .estimators import LinearEstimator, _jittering_shrinkage
+from .model import ForwardOperator, NoiseModel, SubspaceModel, _check_triple, draw_sample_arrays
+from .scalar import ScalarProblem, minimize_convex
 
 # 66% two-sided normal quantile: CI = mean +- 0.954 * SE.
 CI_SCALE = 0.954
-
-_METHODS = ("exact-dual", "closed-form", "monte-carlo-pgd")
 
 
 @dataclass(frozen=True)
 class RiskReport:
     """Per-eps risk values with 66% confidence bounds.
 
-    Values are stored exactly as the producer computed them (total squared
-    error for the Monte-Carlo evaluators here); use scaled(1/n) for the
-    per-coordinate normalization used in figure-style CSV output.
+    Values are total squared errors, as certify computes them; figure-style
+    CSV output divides them by n for per-coordinate risk.
     """
 
     eps_grid: np.ndarray
@@ -61,7 +62,6 @@ class RiskReport:
     ci_low: np.ndarray
     ci_high: np.ndarray
     n_samples: int
-    method: str
 
     def __post_init__(self) -> None:
         eps = np.atleast_1d(np.asarray(self.eps_grid, dtype=float))
@@ -70,8 +70,8 @@ class RiskReport:
         hi = np.atleast_1d(np.asarray(self.ci_high, dtype=float))
         if not (eps.shape == val.shape == lo.shape == hi.shape):
             raise InvalidDimensionError("report arrays must share one shape")
-        if self.method not in _METHODS:
-            raise InvalidParameterError(f"method must be one of {_METHODS}")
+        if not np.isfinite([val, lo, hi]).all():
+            raise InvalidParameterError("risk values and bounds must be finite")
         if np.any(val < 0):
             raise InvalidParameterError("risk values must be >= 0")
         if np.any(lo > val) or np.any(val > hi):
@@ -79,25 +79,6 @@ class RiskReport:
         for name, arr in (("eps_grid", eps), ("values", val), ("ci_low", lo), ("ci_high", hi)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    def scaled(self, factor: float) -> "RiskReport":
-        """Same report with values and bounds multiplied by factor > 0."""
-        if factor <= 0:
-            raise InvalidParameterError("scale factor must be > 0")
-        return RiskReport(
-            eps_grid=self.eps_grid.copy(),
-            values=self.values * factor,
-            ci_low=self.ci_low * factor,
-            ci_high=self.ci_high * factor,
-            n_samples=self.n_samples,
-            method=self.method,
-        )
-
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("eps,risk,ci_low,ci_high,n_samples,method\n")
-            for e, v, lo, hi in zip(self.eps_grid, self.values, self.ci_low, self.ci_high):
-                fh.write(f"{e:.12g},{v:.12g},{lo:.12g},{hi:.12g},{self.n_samples},{self.method}\n")
 
 
 def _mean_ci(values: np.ndarray) -> tuple[float, float, float]:
@@ -209,20 +190,6 @@ def dual_values_batch(estimator: LinearEstimator, v: np.ndarray, eps: float) -> 
     return values + vperp2
 
 
-def _check_dims(
-    estimator: LinearEstimator,
-    model: SubspaceModel,
-    op: ForwardOperator,
-    noise: NoiseModel,
-) -> None:
-    n_est, m_est = estimator.shape
-    if n_est != model.n or m_est != noise.m or op.n != model.n or op.m != noise.m:
-        raise InvalidDimensionError(
-            f"estimator {estimator.shape} does not match model n={model.n}, "
-            f"operator {op.matrix.shape}, noise m={noise.m}"
-        )
-
-
 def residuals(
     estimator: LinearEstimator,
     model: SubspaceModel,
@@ -262,7 +229,7 @@ def certify(
         [_mean_ci(dual_values_batch(estimator, v, float(eps))) for eps in eps_grid]
     ).reshape(-1, 3)
     values, ci_low, ci_high = stats.T
-    return RiskReport(eps_grid, values, ci_low, ci_high, x.shape[1], "exact-dual")
+    return RiskReport(eps_grid, values, ci_low, ci_high, x.shape[1])
 
 
 def robust_risk_exact(
@@ -274,27 +241,9 @@ def robust_risk_exact(
     n_samples: int,
     seed: int,
 ) -> RiskReport:
-    """Monte-Carlo robust risk via the exact per-sample dual."""
-    return robust_risk_curve(estimator, model, op, noise, np.array([eps]), n_samples, seed)
-
-
-def robust_risk_curve(
-    estimator: LinearEstimator,
-    model: SubspaceModel,
-    op: ForwardOperator,
-    noise: NoiseModel,
-    eps_grid: np.ndarray,
-    n_samples: int,
-    seed: int,
-) -> RiskReport:
-    """certify over an eps grid on one seeded draw of n_samples pairs.
-
-    The common draw makes per-eps values (and comparisons between
-    estimators evaluated with the same seed) positively coupled, which
-    tightens paired comparisons without biasing the means.
-    """
+    """Monte-Carlo robust risk at one eps: certify on a seeded draw of n_samples pairs."""
     x, y, _ = draw_sample_arrays(model, op, noise, n_samples, seed)
-    return certify(estimator, x, y, eps_grid)
+    return certify(estimator, x, y, eps)
 
 
 def standard_risk_closed_form(
@@ -345,7 +294,9 @@ def jittering_risk_closed_form(
     """
     if sigma_w < 0:
         raise InvalidParameterError(f"sigma_w must be >= 0, got {sigma_w}")
-    _check_dims(estimator, model, op, noise)
+    _check_triple(model, op, noise)
+    if estimator.shape != (model.n, noise.m):
+        raise InvalidDimensionError(f"estimator {estimator.shape} is not {model.n} x {noise.m}")
     mism = estimator.apply(op.matrix @ model.basis) - model.basis  # (HA - I) U
     h_energy = float(np.sum(estimator.singular_values**2))
     return float(
@@ -396,3 +347,25 @@ def robust_risk_mode_form(
         return float(num.sum() + tail), 0.0
     values, lam = _secular_min(shr2, num[:, None], eps)
     return float(values[0] + tail), float(lam[0])
+
+
+def best_jitter_level_analytic(
+    model: SubspaceModel, op: ForwardOperator, noise: NoiseModel, eps: float
+) -> tuple[float, float]:
+    """Jitter level minimizing the analytic robust risk of H_J(sigma_w).
+
+    Scans sigma_w >= 0 with the scalar minimizer; each evaluation solves
+    the one-dimensional mode-form dual.  Returns (sigma_w_star, risk).
+    """
+    _, lam, _ = op.au_svd(model)
+
+    def risk_of(sigma_w: float) -> float:
+        sigma = _jittering_shrinkage(model, noise, lam, sigma_w)
+        value, _ = robust_risk_mode_form(
+            sigma, lam, model.sigma_c, noise.sigma_z, model.d, noise.m, eps
+        )
+        return value
+
+    return minimize_convex(
+        ScalarProblem(risk_of, lower=0.0, tolerance=1e-9, lower_inclusive=True)
+    )

@@ -2,9 +2,9 @@
 
 Two scalar problems in the package are not secular equations: the
 conjectured estimator's dual F(lam) over lam >= 0, and the scan over
-jitter levels sigma_w >= 0 in best_jitter_level_analytic.  Both are
-convex on their ray, may have a pole at the lower endpoint, and have no
-useful upper bound.  minimize_convex handles exactly this shape:
+jitter levels sigma_w >= 0 in best_jitter_level_analytic (jitterlab.risk).
+Both are convex on their ray, may have a pole at the lower endpoint, and
+have no useful upper bound.  minimize_convex handles exactly this shape:
 geometric bracket expansion away from the lower endpoint followed by
 golden-section search.  (The robust-risk inner maxima are solved by the
 secular Newton iteration in jitterlab.risk.)

@@ -23,14 +23,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .attack import pgd_perturb_batch
-from .errors import (
-    InvalidDimensionError,
-    InvalidParameterError,
-    TrainingDivergenceError,
-)
+from .errors import InvalidParameterError, TrainingDivergenceError
 from .estimators import LinearEstimator
 from .model import (
-    ForwardOperator, NoiseModel, SubspaceModel, _sub_seed, draw_sample_arrays, rng_stream
+    ForwardOperator, NoiseModel, SubspaceModel, _check_triple, _sub_seed, draw_sample_arrays,
+    rng_stream,
 )
 from .risk import certify
 
@@ -44,8 +41,7 @@ class TrainConfig:
 
     objective selects the gradient rule; eps feeds "adversarial" and
     sigma_w feeds "jittering" (each ignored otherwise).  attack_steps is
-    the training-mode PGD budget.  symmetric_projection optionally maps H
-    to (H + H')/2 after every step (square H only).
+    the training-mode PGD budget.
     """
 
     objective: str = "standard"
@@ -60,7 +56,6 @@ class TrainConfig:
     batch_size: int = 50
     n_iterations: int = 20000
     seed: int = 0
-    symmetric_projection: bool = False
     attack_steps: int = 3
     attack_step_scale: float = 2.5
     record_every: int = 100
@@ -92,12 +87,6 @@ class TrainTrace:
     losses: np.ndarray
     estimator: LinearEstimator
 
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("iteration,loss\n")
-            for it, loss in zip(self.iterations, self.losses):
-                fh.write(f"{int(it)},{loss:.12g}\n")
-
 
 def train(
     model: SubspaceModel,
@@ -112,8 +101,7 @@ def train(
     objective.  Divergence (non-finite loss) raises with the trace prefix
     attached to the exception as `.trace`.
     """
-    if op.n != model.n or op.m != noise.m:
-        raise InvalidDimensionError("operator dimensions do not match model/noise")
+    _check_triple(model, op, noise)
     n, m, d = model.n, noise.m, model.d
     batch = config.batch_size
     basis = model.basis
@@ -170,10 +158,6 @@ def train(
             m1_hat = mom1 / (1.0 - config.beta1 ** (t + 1))
             m2_hat = mom2 / (1.0 - config.beta2 ** (t + 1))
             h = h - config.lr * m1_hat / (np.sqrt(m2_hat) + config.eps_hat)
-        if config.symmetric_projection:
-            if n != m:
-                raise InvalidDimensionError("symmetric projection needs n = m")
-            h = 0.5 * (h + h.T)
 
     return TrainTrace(
         iterations=np.array(its),

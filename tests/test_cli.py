@@ -80,6 +80,21 @@ def test_bad_key_fails_with_json_error(tmp_path, capsys):
     assert "sigma_c" in payload["detail"]
 
 
+@pytest.mark.parametrize("args", [
+    ["alpha-curve", "--eps-grid", "nan"],
+    ["sweep", "--eps-grid", ""],
+    ["gap", "--eps-grid", ""],
+    ["large-eps", "--noise-levels", ""],
+], ids=["non-finite", "empty-sweep-eps", "empty-gap-eps", "empty-noise-levels"])
+def test_bad_list_fails_with_json_error_and_writes_nothing(tmp_path, capsys, args):
+    out = tmp_path / "x.csv"
+    assert main(args + ["--out", str(out)]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ConfigError"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text("warp_factor=9\n")

@@ -20,9 +20,13 @@ from jitterlab.estimators import (
     optimal_jittering_estimator,
     ridge_estimator,
 )
-from jitterlab.experiments import best_jitter_level_analytic
 from jitterlab.model import NoiseModel, make_diagonal_operator, make_subspace
-from jitterlab.risk import dual_values_batch, inner_max_dual, robust_risk_mode_form
+from jitterlab.risk import (
+    best_jitter_level_analytic,
+    dual_values_batch,
+    inner_max_dual,
+    robust_risk_mode_form,
+)
 from jitterlab.scalar import ScalarProblem, minimize_convex
 
 _FAST = settings(max_examples=25, deadline=None, derandomize=True, database=None)

@@ -1,7 +1,10 @@
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jitterlab.errors import (
     InvalidDimensionError,
@@ -274,6 +277,31 @@ def test_factored_round_trip_at_every_rank(tmp_path, rank):
     assert back.shape == (6, 5)
     assert back.singular_values.shape == s.shape
     assert np.max(np.abs(back.matrix - est.matrix), initial=0.0) < 1e-12
+
+
+@st.composite
+def _factored_shapes(draw):
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    return n, m, draw(st.integers(0, min(n, m))), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(_factored_shapes())
+def test_factored_round_trip_property(shape):
+    # n x m maps of every rank from 0 to full; %.17g text restores each double exactly
+    n, m, rank, seed = shape
+    rng = np.random.default_rng(seed)
+    left = np.linalg.qr(rng.standard_normal((n, rank)))[0]
+    right = np.linalg.qr(rng.standard_normal((m, rank)))[0].T
+    est = LinearEstimator.from_factors(left, np.sort(rng.uniform(0.1, 2.0, rank))[::-1], right)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "est.txt")
+        write_factored_text(est, path)
+        back = read_factored_text(path)
+    assert back.shape == (n, m)
+    for got, want in zip((back.left, back.singular_values, back.right),
+                         (est.left, est.singular_values, est.right)):
+        assert np.array_equal(got, want)
 
 
 def test_factored_read_rejects_truncated_block(tmp_path):

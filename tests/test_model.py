@@ -2,6 +2,12 @@ import numpy as np
 import pytest
 
 from jitterlab.errors import InvalidDimensionError, InvalidParameterError
+from jitterlab.estimators import (
+    LinearEstimator,
+    conjectured_robust_estimator,
+    optimal_jittering_estimator,
+    ridge_estimator,
+)
 from jitterlab.model import (
     ForwardOperator,
     NoiseModel,
@@ -11,8 +17,9 @@ from jitterlab.model import (
     make_diagonal_operator,
     make_subspace,
     rng_stream,
-    sample_pairs,
 )
+from jitterlab.risk import jittering_risk_closed_form
+from jitterlab.training import TrainConfig, train
 
 
 def test_make_subspace_orthonormal():
@@ -82,16 +89,15 @@ def test_rng_stream_path_separation():
     assert np.array_equal(a, a2)
 
 
-def test_sample_pairs_consistency():
+def test_draw_sample_arrays_consistency():
     model = make_subspace(15, 5, 1.0, seed=2)
     op = make_diagonal_operator(15, "linear-decay")
     noise = NoiseModel(m=15, sigma_z=0.3)
-    pairs = sample_pairs(model, op, noise, 4, 8)
-    assert len(pairs) == 4
-    for s in pairs:
-        assert np.allclose(s.x, model.basis @ s.c)
-        z = s.y - op.matrix @ s.x
-        assert z.shape == (15,)
+    x, y, c = draw_sample_arrays(model, op, noise, 4, 8)
+    assert (x.shape, y.shape, c.shape) == ((15, 4), (15, 4), (5, 4))
+    assert np.array_equal(x, model.basis @ c)
+    z = y - op.matrix @ x
+    assert z.shape == (noise.m, 4)
 
 
 def test_identity_operator():
@@ -144,6 +150,32 @@ def test_operator_model_dimension_mismatch():
     op = make_diagonal_operator(12, "identity")
     with pytest.raises(InvalidDimensionError):
         op.au_svd(model)
+
+
+_TRIPLE_CALLERS = {
+    "draw_sample_arrays": lambda model, op, noise: draw_sample_arrays(model, op, noise, 3, 0),
+    "train": lambda model, op, noise: train(model, op, noise, TrainConfig(n_iterations=1)),
+    "ridge_estimator": lambda model, op, noise: ridge_estimator(model, op, noise, 0.1),
+    "optimal_jittering_estimator":
+        lambda model, op, noise: optimal_jittering_estimator(model, op, noise, 0.1),
+    "conjectured_robust_estimator":
+        lambda model, op, noise: conjectured_robust_estimator(model, op, noise, 0.1),
+    # the estimator has the model's n rows and the noise's m columns, so only
+    # the operator can be at fault
+    "jittering_risk_closed_form": lambda model, op, noise: jittering_risk_closed_form(
+        LinearEstimator.from_matrix(np.zeros((model.n, noise.m))), model, op, noise, 0.1
+    ),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(_TRIPLE_CALLERS))
+@pytest.mark.parametrize("op_n, noise_m", [(7, 7), (6, 5)], ids=["op.n!=n", "op.m!=m"])
+def test_every_triple_caller_rejects_mismatched_dimensions(caller, op_n, noise_m):
+    model = make_subspace(6, 2, 1.0, seed=0)
+    op = make_diagonal_operator(op_n, "linear-decay")
+    noise = NoiseModel(m=noise_m, sigma_z=0.1)
+    with pytest.raises(InvalidDimensionError):
+        _TRIPLE_CALLERS[caller](model, op, noise)
 
 
 def test_au_svd_cache_never_serves_a_dead_model():

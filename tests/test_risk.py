@@ -20,7 +20,6 @@ from jitterlab.risk import (
     inner_max_dual,
     jittering_risk_closed_form,
     residuals,
-    robust_risk_curve,
     robust_risk_exact,
     robust_risk_mode_form,
     standard_risk_closed_form,
@@ -238,11 +237,12 @@ def test_robust_risk_exact_zero_eps_matches_standard_risk():
     assert abs(rep.values[0] - cf) < 5 * se
 
 
-def test_robust_risk_curve_monotone_and_shared_draw():
+def test_certify_curve_monotone_and_shared_draw():
     model, op, noise = _setup(n=20, d=6, sigma_z=0.4)
     est = mmse_estimator(model, op, noise)
     grid = np.array([0.0, 0.2, 0.4, 0.8])
-    rep = robust_risk_curve(est, model, op, noise, grid, 500, seed=5)
+    x, y, _ = draw_sample_arrays(model, op, noise, 500, 5)
+    rep = certify(est, x, y, grid)
     assert np.all(np.diff(rep.values) > 0)
     # paired draws: the eps=0 entry of the curve equals a direct eps=0 report
     single = robust_risk_exact(est, model, op, noise, 0.0, 500, seed=5)
@@ -271,7 +271,17 @@ def test_certify_equals_residual_dual_ci(kind):
     assert rep.ci_low.tolist() == ref[:, 1].tolist()
     assert rep.ci_high.tolist() == ref[:, 2].tolist()
     assert rep.eps_grid.tolist() == grid.tolist()
-    assert (rep.n_samples, rep.method) == (300, "exact-dual")
+    assert rep.n_samples == 300
+
+
+def test_certify_rejects_non_finite_input():
+    # NaN fails both `val < 0` and `lo > val`, so only a finiteness check catches it
+    model, op, noise = _setup(n=10, d=3)
+    est = mmse_estimator(model, op, noise)
+    x, y, _ = draw_sample_arrays(model, op, noise, 20, 1)
+    x[0, 3] = np.nan
+    with pytest.raises(InvalidParameterError):
+        certify(est, x, y, [0.0])
 
 
 def test_certify_rejects_mismatched_or_short_input():
@@ -320,22 +330,6 @@ def test_ci_coverage_near_two_thirds():
     assert 0.60 <= hits / reps <= 0.72
 
 
-def test_risk_report_csv_round_trip(tmp_path):
-    rep = RiskReport(
-        eps_grid=np.array([0.0, 0.5]),
-        values=np.array([1.0, 2.0]),
-        ci_low=np.array([0.9, 1.9]),
-        ci_high=np.array([1.1, 2.1]),
-        n_samples=100,
-        method="closed-form",
-    )
-    path = str(tmp_path / "report.csv")
-    rep.to_csv(path)
-    lines = open(path).read().strip().splitlines()
-    assert lines[0] == "eps,risk,ci_low,ci_high,n_samples,method"
-    assert lines[1].split(",") == ["0", "1", "0.9", "1.1", "100", "closed-form"]
-
-
 def test_risk_report_validation():
     with pytest.raises(InvalidParameterError):
         RiskReport(
@@ -344,28 +338,13 @@ def test_risk_report_validation():
             ci_low=np.array([1.2]),  # ci_low > value
             ci_high=np.array([1.3]),
             n_samples=10,
-            method="exact-dual",
         )
+
+
+@pytest.mark.parametrize("field", ["values", "ci_low", "ci_high"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_risk_report_rejects_non_finite(field, bad):
+    arrays = {"values": [1.0, 2.0], "ci_low": [0.9, 1.9], "ci_high": [1.1, 2.1]}
+    arrays[field] = [arrays[field][0], bad]
     with pytest.raises(InvalidParameterError):
-        RiskReport(
-            eps_grid=np.array([0.0]),
-            values=np.array([1.0]),
-            ci_low=np.array([0.9]),
-            ci_high=np.array([1.1]),
-            n_samples=10,
-            method="bogus-method",
-        )
-
-
-def test_scaled_report():
-    rep = RiskReport(
-        eps_grid=np.array([0.1]),
-        values=np.array([2.0]),
-        ci_low=np.array([1.8]),
-        ci_high=np.array([2.2]),
-        n_samples=50,
-        method="monte-carlo-pgd",
-    )
-    half = rep.scaled(0.5)
-    assert half.values[0] == 1.0 and half.ci_low[0] == 0.9 and half.ci_high[0] == 1.1
-    assert half.eps_grid[0] == 0.1
+        RiskReport(eps_grid=np.array([0.0, 0.5]), n_samples=10, **arrays)

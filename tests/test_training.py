@@ -1,11 +1,7 @@
 import numpy as np
 import pytest
 
-from jitterlab.errors import (
-    InvalidDimensionError,
-    InvalidParameterError,
-    TrainingDivergenceError,
-)
+from jitterlab.errors import InvalidParameterError, TrainingDivergenceError
 from jitterlab.estimators import (
     jitter_level_for_eps,
     jittering_denoiser_alpha,
@@ -73,17 +69,6 @@ def test_trace_records_ema_losses():
     assert trace.losses[-1] < trace.losses[0]
 
 
-def test_trace_csv(tmp_path):
-    model, op, noise = _setup()
-    cfg = TrainConfig(objective="standard", n_iterations=300, seed=2)
-    trace = train(model, op, noise, cfg)
-    path = str(tmp_path / "trace.csv")
-    trace.to_csv(path)
-    lines = open(path).read().strip().splitlines()
-    assert lines[0] == "iteration,loss"
-    assert len(lines) == len(trace.iterations) + 1
-
-
 def test_divergence_raises_with_partial_trace():
     # plain SGD with an absurd step blows up geometrically
     model, op, noise = _setup()
@@ -104,32 +89,6 @@ def test_sgd_optimizer_also_converges():
     trace = train(model, op, noise, cfg)
     target = mmse_estimator(model, op, noise)
     assert np.max(np.abs(trace.estimator.matrix - target.matrix)) <= 0.03
-
-
-def test_symmetric_projection_keeps_h_symmetric():
-    model, op, noise = _setup()
-    cfg = TrainConfig(
-        objective="standard", symmetric_projection=True, n_iterations=500, seed=6
-    )
-    trace = train(model, op, noise, cfg)
-    h = trace.estimator.matrix
-    assert np.max(np.abs(h - h.T)) < 1e-12
-
-
-def test_symmetric_projection_requires_square():
-    model = make_subspace(10, 3, 1.0, seed=0)
-    op = make_diagonal_operator(10, "identity")
-    noise = NoiseModel(m=10, sigma_z=0.1)
-    # build a non-square setup by widening the operator
-    import numpy as _np
-
-    from jitterlab.model import ForwardOperator
-
-    wide = ForwardOperator(_np.vstack([_np.eye(10), _np.zeros((2, 10))]))
-    noise12 = NoiseModel(m=12, sigma_z=0.1)
-    cfg = TrainConfig(objective="standard", symmetric_projection=True, n_iterations=10)
-    with pytest.raises(InvalidDimensionError):
-        train(model, wide, noise12, cfg)
 
 
 def test_adversarial_training_shrinks_harder_than_standard():
