@@ -43,7 +43,7 @@ class AttackConfig:
     restart_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.eps < 0:
+        if not self.eps >= 0:
             raise InvalidParameterError(f"eps must be >= 0, got {self.eps}")
         if self.n_steps < 1 or self.n_restarts < 1:
             raise InvalidParameterError("need n_steps >= 1 and n_restarts >= 1")
@@ -133,7 +133,7 @@ def pgd_perturb_batch(
     gradient consumes.  Matches pgd_attack with n_restarts = 1 up to
     best-iterate tracking.
     """
-    if eps < 0:
+    if not eps >= 0:
         raise InvalidParameterError(f"eps must be >= 0, got {eps}")
     if n_steps < 1:
         raise InvalidParameterError(f"need n_steps >= 1, got {n_steps}")
@@ -142,14 +142,15 @@ def pgd_perturb_batch(
         return e
     r0 = h @ y - x
     step = step_scale * eps / n_steps
-    for _ in range(n_steps):
-        grad = 2.0 * (h.T @ (r0 + h @ e))
+    for k in range(n_steps):
+        # Ascent direction H'(r0 + H e); the gradient's exact factor 2 cancels
+        # in the normalisation, and H e is zero on the first step.
+        grad = h.T @ (r0 if k == 0 else r0 + h @ e)
         gnorm = np.linalg.norm(grad, axis=0)
-        scale = np.where(gnorm > 0.0, step / np.where(gnorm > 0.0, gnorm, 1.0), 0.0)
-        e = e + grad * scale
+        grad *= np.where(gnorm > 0.0, step / np.where(gnorm > 0.0, gnorm, 1.0), 0.0)
+        e += grad
         enorm = np.linalg.norm(e, axis=0)
-        clip = np.where(enorm > eps, eps / np.where(enorm > 0.0, enorm, 1.0), 1.0)
-        e = e * clip
+        e *= np.where(enorm > eps, eps / np.where(enorm > 0.0, enorm, 1.0), 1.0)
     if not np.all(np.isfinite(e)):
         raise AttackDivergenceError("batch attack produced non-finite perturbations")
     return e

@@ -5,7 +5,10 @@ CLI flags), derives every random stream from one master seed, and writes
 CSV atomically (temp file + rename).  The first line of every CSV is a
 comment recording the SHA-256 hash of the canonical config string together
 with the full configuration, so artifacts are self-describing and re-runs
-are byte-identical.
+are byte-identical.  The training drivers (equivalence, large-eps, sweep)
+draw their evaluation set first, then train and certify their independent
+runs over one forked worker per available CPU (`training._fork_map`); the
+CSV is the same for any worker count.
 
 Risk columns in figure-style CSVs are per-coordinate (total risk divided
 by n); the sweep matrix keeps raw totals since only argmin locations
@@ -40,7 +43,7 @@ from .model import (
     make_subspace,
 )
 from .risk import RiskReport, best_jitter_level_analytic, certify, standard_risk_closed_form
-from .training import TrainConfig, SweepResult, sweep_jitter_levels, train
+from .training import TrainConfig, SweepResult, _fork_map, sweep_jitter_levels, train
 
 COMMANDS = ("alpha-curve", "equivalence", "gap", "large-eps", "sweep")
 
@@ -279,35 +282,41 @@ def cmd_equivalence(cfg: dict) -> str:
 
     One standard model serves every eps; adversarial and jittering models
     are trained per eps (the jitter level is the closed-form sigma_w(eps)).
-    One evaluation set is drawn after the standard model is trained and
-    every estimator is certified on it, and the closed-form optimal risk
-    is emitted as a fourth method.  Risk columns are per-coordinate.
+    One evaluation set is drawn before any training and every estimator is
+    certified on it, and the closed-form optimal risk is emitted as a
+    fourth method.  The 2k + 1 runs train and certify in parallel, one
+    forked worker per available CPU.  Risk columns are per-coordinate.
     """
     if cfg["operator"] != "identity":
         raise ConfigError("equivalence runs the denoising setup: operator=identity")
     model, op, noise = _build_setup(cfg)
     n = model.n
     sigma_c, sigma_z, d = model.sigma_c, noise.sigma_z, model.d
+    eps_grid = [float(eps) for eps in cfg["eps_grid"]]
 
-    std_trace = train(model, op, noise, _train_config(cfg, "standard", _sub_seed(cfg["seed"], 1)))
+    # Standard first, then every adversarial run, then every jittering run,
+    # so that a strided split hands each worker the same mix of objectives.
+    jobs = [(_train_config(cfg, "standard", _sub_seed(cfg["seed"], 1)), eps_grid)]
+    jobs += [
+        (_train_config(cfg, "adversarial", _sub_seed(cfg["seed"], 2 + 2 * j), eps=eps), eps)
+        for j, eps in enumerate(eps_grid)
+    ]
+    jobs += [
+        (_train_config(cfg, "jittering", _sub_seed(cfg["seed"], 3 + 2 * j),
+                       sigma_w=jitter_level_for_eps(sigma_c, sigma_z, d, n, eps)), eps)
+        for j, eps in enumerate(eps_grid)
+    ]
     x, y, _ = draw_sample_arrays(model, op, noise, cfg["eval_samples"], _sub_seed(cfg["seed"], 0))
-    std = certify(std_trace.estimator, x, y, cfg["eps_grid"])
+    reports = _fork_map(
+        lambda job: certify(train(model, op, noise, job[0]).estimator, x, y, job[1]), jobs
+    )
+    std, adv, jit = reports[0], reports[1:len(eps_grid) + 1], reports[len(eps_grid) + 1:]
     rows = []
-    for j, eps in enumerate(cfg["eps_grid"]):
-        eps = float(eps)
-        adv_trace = train(
-            model, op, noise,
-            _train_config(cfg, "adversarial", _sub_seed(cfg["seed"], 2 + 2 * j), eps=eps),
-        )
-        sw = jitter_level_for_eps(sigma_c, sigma_z, d, model.n, eps)
-        jit_trace = train(
-            model, op, noise,
-            _train_config(cfg, "jittering", _sub_seed(cfg["seed"], 3 + 2 * j), sigma_w=sw),
-        )
+    for j, eps in enumerate(eps_grid):
         for method, cells in (
             ("standard", _risk_cells(std, j, n)),
-            ("adversarial", _risk_cells(certify(adv_trace.estimator, x, y, eps), 0, n)),
-            ("jittering", _risk_cells(certify(jit_trace.estimator, x, y, eps), 0, n)),
+            ("adversarial", _risk_cells(adv[j], 0, n)),
+            ("jittering", _risk_cells(jit[j], 0, n)),
         ):
             rows.append(f"{method},{_g(eps)},{_g(eps**2 / sigma_c**2)},{cells}\n")
         alpha_star = optimal_robust_alpha(sigma_c, sigma_z, d, model.n, eps)
@@ -356,35 +365,41 @@ def cmd_gap(cfg: dict) -> str:
 def cmd_large_eps(cfg: dict) -> str:
     """Adversarially trained denoisers across the eps^2 ~ sigma_c^2 transition.
 
-    noise_levels are sigma_z/sqrt(n) values.  Each level trains its
-    estimators first, then draws one evaluation set and certifies them all
-    on it.  Emits per-coordinate risk and the trained Frobenius norm; past
-    the transition the estimator collapses toward zero and the risk
-    plateaus at sigma_c^2/n per coordinate.
+    noise_levels are sigma_z/sqrt(n) values.  Each level draws one
+    evaluation set, then trains its estimators and certifies each on it,
+    in parallel, one forked worker per available CPU.  Emits per-coordinate
+    risk and the trained Frobenius norm; past the transition the estimator
+    collapses toward zero and the risk plateaus at sigma_c^2/n per
+    coordinate.
     """
     if cfg["operator"] != "identity":
         raise ConfigError("large-eps runs the denoising setup: operator=identity")
+    if any(rel < 0 for rel in cfg["eps_sq_rel_grid"]):
+        raise ConfigError("eps_sq_rel_grid values must be >= 0")
     rows = []
     sigma_c = cfg["sigma_c"]
     for li, level in enumerate(cfg["noise_levels"]):
         level_cfg = dict(cfg)
         level_cfg["sigma_z"] = float(level * np.sqrt(cfg["n"]))
         model, op, noise = _build_setup(level_cfg)
-        trained = []
+        jobs = []
         for j, rel in enumerate(cfg["eps_sq_rel_grid"]):
             eps = float(np.sqrt(rel) * sigma_c)
-            trace = train(
-                model, op, noise,
-                _train_config(cfg, "adversarial", _sub_seed(cfg["seed"], 200 + 10 * li + j), eps=eps),
-            )
-            trained.append((rel, eps, trace.estimator))
+            seed = _sub_seed(cfg["seed"], 200 + 10 * li + j)
+            jobs.append((_train_config(cfg, "adversarial", seed, eps=eps), eps))
         x, y, _ = draw_sample_arrays(
             model, op, noise, cfg["eval_samples"], _sub_seed(cfg["seed"], 100 + li)
         )
-        for rel, eps, est in trained:
-            cells = _risk_cells(certify(est, x, y, eps), 0, model.n)
-            rows.append(f"{_g(level)},{_g(eps)},{_g(rel)},{cells},{_g(est.frobenius_norm())}\n")
-        del x, y  # free this level's evaluation set before the next level trains and draws
+
+        def train_and_certify(job: tuple[TrainConfig, float]) -> tuple[RiskReport, float]:
+            est = train(model, op, noise, job[0]).estimator
+            return certify(est, x, y, job[1]), est.frobenius_norm()
+
+        results = _fork_map(train_and_certify, jobs)
+        for rel, (_, eps), (report, h_frob) in zip(cfg["eps_sq_rel_grid"], jobs, results):
+            cells = _risk_cells(report, 0, model.n)
+            rows.append(f"{_g(level)},{_g(eps)},{_g(rel)},{cells},{_g(h_frob)}\n")
+        del x, y  # free this level's evaluation set before the next level draws
     columns = "noise_level,eps,eps_sq_rel,risk,ci_low,ci_high,h_frob"
     return _emit("large-eps", cfg, columns, rows, cfg["out"])
 

@@ -13,11 +13,17 @@ overfitting).  Per-sample gradients of the squared error:
 Optimizers are implemented from scratch: plain SGD with momentum, and the
 adaptive (Adam-style) rule with bias-corrected first/second moments, which
 is the default at lr 1e-3.  Training starts from H = 0 and is
-deterministic given the config seed.
+deterministic given the config seed.  The loop works in place on buffers
+allocated once per run and applies a diagonal operator as a row scaling;
+both give the bits of the textbook loop.
+
+Runs with distinct seeds are independent, so the drivers spread them over
+forked workers with `_fork_map`; results do not depend on the worker count.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,10 +35,92 @@ from .model import (
     ForwardOperator, NoiseModel, SubspaceModel, _check_triple, _sub_seed, draw_sample_arrays,
     rng_stream,
 )
-from .risk import certify
+from .risk import RiskReport, certify
 
 _OBJECTIVES = ("standard", "adversarial", "jittering")
 _OPTIMIZERS = ("sgd", "adaptive")
+
+# True while this process runs a _fork_map share; forked workers inherit it.
+_mapping = False
+
+
+def _run_share(fn, share: list) -> tuple[list, Exception | None]:
+    """fn over share in order, stopping at the first exception, which is returned."""
+    values = []
+    for item in share:
+        try:
+            values.append(fn(item))
+        except Exception as exc:  # handed to _fork_map, which re-raises it
+            return values, exc
+    return values, None
+
+
+def _fork_worker(fn, share: list, conn) -> None:
+    conn.send(_run_share(fn, share))
+    conn.close()
+
+
+def _fork_map(fn, items) -> list:
+    """[fn(item) for item in items], split over this process and forked children.
+
+    One process per CPU this process may run on, capped at the item count;
+    process k takes items k, k + P, k + 2P, ... .  Only results and
+    exceptions cross the pipes (pickled), so fn may be a closure over data
+    the caller prepared before the call.  The exception of the first
+    failing item in item order is raised, as the plain loop would raise it.
+    Runs the plain loop on one CPU, for one item, where the platform has no
+    CPU affinity or no fork start method, or when called from inside a share.
+    """
+    global _mapping
+    items = list(items)
+    # sched_getaffinity is Linux-only; elsewhere (macOS forks unsafely once its
+    # system frameworks run threads) the loop stays serial.
+    affinity = getattr(os, "sched_getaffinity", lambda pid: {0})
+    procs = min(len(affinity(0)), len(items))
+    if procs < 2 or _mapping:
+        return [fn(item) for item in items]
+    import multiprocessing  # lazily: only runs that fork pay for the import
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return [fn(item) for item in items]
+    # fork, not spawn: workers see fn's closure and its arrays copy-on-write,
+    # with no re-import and no pickled inputs.
+    ctx = multiprocessing.get_context("fork")
+    workers = []
+    shares = []
+    _mapping = True
+    try:
+        for k in range(1, procs):
+            recv, send = ctx.Pipe(duplex=False)
+            worker = ctx.Process(target=_fork_worker, args=(fn, items[k::procs], send))
+            worker.start()
+            send.close()
+            workers.append((worker, recv))
+        shares.append(_run_share(fn, items[0::procs]))
+        for worker, recv in workers:
+            try:
+                shares.append(recv.recv())
+            except EOFError:
+                worker.join()
+                raise ChildProcessError(
+                    f"fork-map worker exited with code {worker.exitcode} before sending results"
+                ) from None
+    finally:
+        _mapping = False
+        for worker, recv in workers:
+            if len(shares) < procs:
+                worker.terminate()  # the map is failing: stop workers still running
+            worker.join()
+            recv.close()
+    failures = [
+        (k + len(values) * procs, exc) for k, (values, exc) in enumerate(shares) if exc is not None
+    ]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    results = [None] * len(items)
+    for k, (values, _) in enumerate(shares):
+        results[k::procs] = values
+    return results
 
 
 @dataclass(frozen=True)
@@ -65,6 +153,11 @@ class TrainConfig:
             raise InvalidParameterError(f"objective must be one of {_OBJECTIVES}")
         if self.optimizer not in _OPTIMIZERS:
             raise InvalidParameterError(f"optimizer must be one of {_OPTIMIZERS}")
+        finite = (self.eps, self.sigma_w, self.lr, self.eps_hat, self.attack_step_scale)
+        if not np.all(np.isfinite(finite)):
+            raise InvalidParameterError(
+                "eps, sigma_w, lr, eps_hat and attack_step_scale must be finite"
+            )
         if self.lr <= 0 or self.batch_size < 1 or self.n_iterations < 1:
             raise InvalidParameterError("need lr > 0, batch_size >= 1, n_iterations >= 1")
         if self.eps < 0 or self.sigma_w < 0:
@@ -106,10 +199,20 @@ def train(
     batch = config.batch_size
     basis = model.basis
     a_mat = op.matrix
+    a_diag = np.diagonal(a_mat)
+    row_scale = a_diag[:, None] if np.array_equal(a_mat, np.diag(a_diag)) else None
     c_scale = model.sigma_c / np.sqrt(d)
     z_scale = noise.per_coordinate_std
+    jittering = config.objective == "jittering"
 
+    # One draw per iteration fills c, z (and w) in the order of separate
+    # (d, B), (m, B), (m, B) draws, so the stream is the same.
+    draw = np.empty((d + m + (m if jittering else 0), batch))
+    c, z, w = draw[:d], draw[d:d + m], draw[d + m:]
+    x, y = np.empty((n, batch)), np.empty((m, batch))
+    resid, sq = np.empty((n, batch)), np.empty((n, batch))
     h = np.zeros((n, m))
+    grad, step, denom = np.empty_like(h), np.empty_like(h), np.empty_like(h)
     vel = np.zeros_like(h)
     mom1 = np.zeros_like(h)
     mom2 = np.zeros_like(h)
@@ -118,24 +221,34 @@ def train(
     its: list[int] = []
     losses: list[float] = []
     for t in range(config.n_iterations):
-        g = rng_stream(config.seed, t)
-        c = c_scale * g.standard_normal((d, batch))
-        z = z_scale * g.standard_normal((m, batch))
-        x = basis @ c
-        y = a_mat @ x + z
+        rng_stream(config.seed, t).standard_normal(out=draw)
+        c *= c_scale
+        z *= z_scale
+        np.matmul(basis, c, out=x)
+        if row_scale is None:
+            np.matmul(a_mat, x, out=y)
+        else:
+            # The zero off-diagonal terms add nothing to the matmul's sums.
+            np.multiply(row_scale, x, out=y)
+        y += z
 
-        if config.objective == "jittering":
-            yt = y + config.sigma_w * g.standard_normal((m, batch))
+        if jittering:
+            w *= config.sigma_w
+            w += y
+            yt = w
         elif config.objective == "adversarial":
-            yt = y + pgd_perturb_batch(
+            yt = pgd_perturb_batch(
                 h, x, y, config.eps, config.attack_steps, config.attack_step_scale
             )
+            yt += y
         else:
             yt = y
 
-        resid = h @ yt - x
+        np.matmul(h, yt, out=resid)
+        resid -= x
         with np.errstate(over="ignore"):  # overflow IS the divergence signal
-            loss = float((resid * resid).sum() / batch)
+            np.multiply(resid, resid, out=sq)
+            loss = float(sq.sum() / batch)
         if not np.isfinite(loss):
             exc = TrainingDivergenceError(f"non-finite loss at iteration {t}")
             exc.trace = TrainTrace(
@@ -148,16 +261,28 @@ def train(
             its.append(t)
             losses.append(ema)
 
-        grad = (2.0 / batch) * (resid @ yt.T)
+        np.matmul(resid, yt.T, out=grad)
+        grad *= 2.0 / batch
         if config.optimizer == "sgd":
-            vel = config.momentum * vel - config.lr * grad
-            h = h + vel
+            vel *= config.momentum
+            grad *= config.lr
+            vel -= grad
+            h += vel
         else:
-            mom1 = config.beta1 * mom1 + (1.0 - config.beta1) * grad
-            mom2 = config.beta2 * mom2 + (1.0 - config.beta2) * grad**2
-            m1_hat = mom1 / (1.0 - config.beta1 ** (t + 1))
-            m2_hat = mom2 / (1.0 - config.beta2 ** (t + 1))
-            h = h - config.lr * m1_hat / (np.sqrt(m2_hat) + config.eps_hat)
+            mom1 *= config.beta1
+            np.multiply(1.0 - config.beta1, grad, out=step)
+            mom1 += step
+            mom2 *= config.beta2
+            np.multiply(grad, grad, out=step)
+            step *= 1.0 - config.beta2
+            mom2 += step
+            np.divide(mom1, 1.0 - config.beta1 ** (t + 1), out=step)
+            step *= config.lr
+            np.divide(mom2, 1.0 - config.beta2 ** (t + 1), out=denom)
+            np.sqrt(denom, out=denom)
+            denom += config.eps_hat
+            step /= denom
+            h -= step
 
     return TrainTrace(
         iterations=np.array(its),
@@ -205,31 +330,34 @@ def sweep_jitter_levels(
     cell is certified on it (paired comparison), so the per-eps argmin
     over sigma_w is driven by estimator differences, not by independent
     Monte-Carlo noise.  Training seeds derive from `seed` per grid point;
-    `base_config` carries every non-objective knob.
+    `base_config` carries every non-objective knob.  The grid points
+    train and certify in parallel, one forked worker per available CPU
+    (`_fork_map`); the result does not depend on the worker count.
     """
     eps_grid = np.atleast_1d(np.asarray(eps_grid, dtype=float))
     sigma_w_grid = np.atleast_1d(np.asarray(sigma_w_grid, dtype=float))
     if eps_grid.size == 0 or sigma_w_grid.size == 0:
         raise InvalidParameterError("grids must be non-empty")
     base = base_config if base_config is not None else TrainConfig()
+    configs = [
+        replace(base, objective="jittering", sigma_w=float(sw), seed=_sub_seed(seed, i))
+        for i, sw in enumerate(sigma_w_grid)
+    ]
     x, y, _ = draw_sample_arrays(model, op, noise, eval_samples, _sub_seed(seed, 10**6))
 
-    n_s, n_e = sigma_w_grid.size, eps_grid.size
-    risks = np.empty((n_s, n_e))
-    ci_low = np.empty((n_s, n_e))
-    ci_high = np.empty((n_s, n_e))
-    for i, sw in enumerate(sigma_w_grid):
-        config = replace(
-            base, objective="jittering", sigma_w=float(sw), seed=_sub_seed(seed, i)
-        )
+    def train_and_certify(i: int) -> RiskReport:
         try:
-            report = certify(train(model, op, noise, config).estimator, x, y, eps_grid)
-            risks[i], ci_low[i], ci_high[i] = report.values, report.ci_low, report.ci_high
+            return certify(train(model, op, noise, configs[i]).estimator, x, y, eps_grid)
         except Exception as exc:
             # Annotate with the grid coordinate, keeping the exception type.
-            detail = f"sweep grid point sigma_w={sw} (row {i})"
+            detail = f"sweep grid point sigma_w={sigma_w_grid[i]} (row {i})"
             exc.args = tuple(list(exc.args) + [detail]) if exc.args else (detail,)
             raise
+
+    reports = _fork_map(train_and_certify, range(sigma_w_grid.size))
+    risks = np.array([report.values for report in reports])
+    ci_low = np.array([report.ci_low for report in reports])
+    ci_high = np.array([report.ci_high for report in reports])
     argmin = sigma_w_grid[np.argmin(risks, axis=0)]
     return SweepResult(
         sigma_w_grid=sigma_w_grid,

@@ -22,6 +22,8 @@ def test_attack_config_validation():
     with pytest.raises(InvalidParameterError):
         AttackConfig(eps=-0.1, n_steps=10)
     with pytest.raises(InvalidParameterError):
+        AttackConfig(eps=float("nan"), n_steps=10)
+    with pytest.raises(InvalidParameterError):
         AttackConfig(eps=0.1, n_steps=0)
     with pytest.raises(InvalidParameterError):
         AttackConfig(eps=0.1, n_steps=10, restart_scale=1.5)
@@ -121,3 +123,36 @@ def test_perturb_batch_matches_single_attack_gradient_path():
     e_single, _ = pgd_attack(est, x[:, 0], y[:, 0], cfg, seed=0)
     # both move eps*2.5 along the normalized gradient from zero, then project
     assert np.max(np.abs(e_batch[:, 0] - e_single)) < 1e-10
+
+
+def _reference_perturb_batch(h, x, y, eps, n_steps, step_scale=2.5):
+    # The textbook loop: full gradient 2 H'(H(y + e) - x), out-of-place updates.
+    e = np.zeros_like(y)
+    r0 = h @ y - x
+    step = step_scale * eps / n_steps
+    for _ in range(n_steps):
+        grad = 2.0 * (h.T @ (r0 + h @ e))
+        gnorm = np.linalg.norm(grad, axis=0)
+        e = e + grad * np.where(gnorm > 0.0, step / np.where(gnorm > 0.0, gnorm, 1.0), 0.0)
+        enorm = np.linalg.norm(e, axis=0)
+        e = e * np.where(enorm > eps, eps / np.where(enorm > 0.0, enorm, 1.0), 1.0)
+    return e
+
+
+@pytest.mark.parametrize("n_steps", [1, 3, 7])
+def test_perturb_batch_bit_identical_to_reference_loop(n_steps):
+    rng = np.random.default_rng(17 + n_steps)
+    h = rng.standard_normal((7, 5))
+    x = rng.standard_normal((7, 40))
+    y = rng.standard_normal((5, 40))
+    y[:, 0] = np.linalg.lstsq(h, x[:, 0], rcond=None)[0]  # a (near) zero-residual column
+    for eps in (0.05, 0.6, 3.0):
+        e = pgd_perturb_batch(h, x, y, eps, n_steps)
+        assert np.array_equal(e, _reference_perturb_batch(h, x, y, eps, n_steps))
+
+
+def test_perturb_batch_rejects_nan_eps():
+    rng = np.random.default_rng(3)
+    h, x, y = rng.standard_normal((4, 4)), rng.standard_normal((4, 6)), rng.standard_normal((4, 6))
+    with pytest.raises(InvalidParameterError):
+        pgd_perturb_batch(h, x, y, float("nan"), n_steps=3)

@@ -85,7 +85,9 @@ def test_bad_key_fails_with_json_error(tmp_path, capsys):
     ["sweep", "--eps-grid", ""],
     ["gap", "--eps-grid", ""],
     ["large-eps", "--noise-levels", ""],
-], ids=["non-finite", "empty-sweep-eps", "empty-gap-eps", "empty-noise-levels"])
+    ["large-eps", "--eps-sq-rel-grid", "-1"],
+], ids=["non-finite", "empty-sweep-eps", "empty-gap-eps", "empty-noise-levels",
+        "negative-eps-sq-rel"])
 def test_bad_list_fails_with_json_error_and_writes_nothing(tmp_path, capsys, args):
     out = tmp_path / "x.csv"
     assert main(args + ["--out", str(out)]) == 1
@@ -166,6 +168,26 @@ def test_drivers_draw_the_evaluation_set_once(monkeypatch, command):
     COMMAND_FUNCS[command](cfg)
     expected = len(cfg["noise_levels"]) if command == "large-eps" else 1
     assert len(draws) == expected
+
+
+@pytest.mark.parametrize("command", ["equivalence", "large-eps", "sweep"])
+def test_training_drivers_write_the_same_bytes_on_one_or_two_cpus(tmp_path, monkeypatch, command):
+    # The drivers fork one worker per available CPU; the output must not
+    # depend on how many there are.  Default grids, tiny sizes and budgets.
+    outputs = {}
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        out = tmp_path / f"{len(cpus)}.csv"
+        assert main([
+            command, "--out", str(out), "--n", "12", "--d", "4",
+            "--n-iterations", "40", "--eval-samples", "50",
+        ]) == 0
+        outputs[len(cpus)] = sorted(
+            (path.name.replace(f"{len(cpus)}", "k"), path.read_bytes())
+            for path in tmp_path.glob(f"{len(cpus)}*.csv")
+        )
+    assert outputs[1] == outputs[2]
+    assert len(outputs[1]) == (2 if command == "sweep" else 1)
 
 
 def test_entry_point_subprocess(tmp_path):
