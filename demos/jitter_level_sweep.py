@@ -4,7 +4,8 @@
 Trains one jitter estimator per sigma_w on a grid, certifies each against
 perturbations of radius eps with the exact inner maximization (one shared
 evaluation draw, so the curve is paired), and compares the empirical
-argmin against the analytic matched level sigma_w(eps).
+argmin against the analytic matched level sigma_w(eps).  Prints its table
+only; `jitterlab sweep --out FILE` writes the sweep as a CSV.
 """
 
 import numpy as np
@@ -17,7 +18,6 @@ SIGMA_Z = 0.4 * np.sqrt(2.0)
 EPS = 0.5
 N_GRID = 8
 N_EVAL = 2000
-OUT = "jitter_level_sweep.csv"
 
 
 def main():
@@ -47,8 +47,9 @@ def main():
     print(f"analytic level           = {sw_theory:.4f}")
     print(f"grid spacing             = {sw_grid[1] - sw_grid[0]:.4f}")
 
-    res.to_csv(OUT)
-    print(f"wrote {OUT}")
+    print()
+    print("for the full (sigma_w, eps) matrix as a CSV with its config header,")
+    print("run: jitterlab sweep --out sweep.csv")
 
 
 if __name__ == "__main__":

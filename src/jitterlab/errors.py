@@ -3,8 +3,8 @@
 Every error raised deliberately by this package derives from JitterlabError,
 so callers can catch one base type at the CLI boundary.  The subclasses keep
 failure modes distinguishable in tests: dimension and parameter validation,
-scalar-minimizer pathologies, regime violations of the closed forms, and
-divergence of the iterative routines.
+non-finite values and stalled solvers, regime violations of the closed forms,
+and divergence of the iterative routines.
 """
 
 
@@ -20,24 +20,12 @@ class InvalidParameterError(JitterlabError, ValueError):
     """A scalar parameter is outside its legal range."""
 
 
-class UnboundedBelowError(JitterlabError, RuntimeError):
-    """Bracket expansion exhausted its budget without finding a minimum."""
-
-
 class EvaluationError(JitterlabError, RuntimeError):
     """A non-finite value appeared where a finite one is required, or a solver stalled."""
 
 
-class BoundaryLimitError(JitterlabError, RuntimeError):
-    """The minimum of an objective lies on an excluded boundary of its domain."""
-
-
 class OutOfRegimeError(JitterlabError, ValueError):
     """A closed form was requested outside the regime where it is defined."""
-
-
-class DegenerateRegimeError(JitterlabError, RuntimeError):
-    """The requested estimator degenerates (e.g. the zero map) at these inputs."""
 
 
 class DegenerateInputError(JitterlabError, ValueError):

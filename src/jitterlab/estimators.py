@@ -21,22 +21,94 @@ The families implemented:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import (
-    BoundaryLimitError,
-    DegenerateRegimeError,
     EvaluationError,
     InvalidDimensionError,
     InvalidParameterError,
     OutOfRegimeError,
 )
 from .model import ForwardOperator, NoiseModel, SubspaceModel, _check_triple
-from .scalar import ScalarProblem, minimize_convex
 
 _FACTOR_TOL = 1e-8
+# A bisection follows _STALE_STEPS steps in a row that fail to halve the
+# bracket, so 53 halvings, which close a factor-2 bracket to float64 width,
+# take at most (_STALE_STEPS + 1) * 53 = 212 steps.
+_STALE_STEPS = 3
+_ROOT_MAX_ITER = 250
+_EPS = float(np.finfo(float).eps)
+
+
+def _increasing_root(g: Callable[[float], float]) -> float:
+    """Root on t >= 0 of a derivative g that turns from < 0 to >= 0 once.
+
+    g is the derivative of a convex (or unimodal) function on t >= 0, whose
+    minimizer is returned: 0 when g(0) >= 0.  Otherwise doubling or halving
+    from t = 1 brackets the root between a point with g < 0 and one with
+    g >= 0, a factor 2 apart.  Illinois (modified regula falsi) steps then
+    shrink the bracket, with a bisection after _STALE_STEPS steps in a row
+    that fail to halve it, and with each step kept a few ulps inside the
+    bracket so that a one-sided approach still closes it.  The search stops
+    once no float64 lies between the ends and returns the end with g >= 0;
+    a jump of g (a kink of the function it differentiates) is found the
+    same way.  A non-finite g, no sign change on the float64 range, or a
+    bracket still open after _ROOT_MAX_ITER steps raises EvaluationError.
+    """
+
+    def checked(t: float) -> float:
+        value = float(g(t))
+        if not math.isfinite(value):
+            raise EvaluationError(f"derivative is not finite at t={t!r}: {value!r}")
+        return value
+
+    lo, g_lo = 0.0, checked(0.0)
+    if g_lo >= 0.0:
+        return 0.0
+    hi, g_hi = 1.0, checked(1.0)
+    while g_hi < 0.0:
+        lo, g_lo, hi = hi, g_hi, 2.0 * hi
+        if math.isinf(hi):
+            raise EvaluationError("derivative stays negative on the whole float64 range")
+        g_hi = checked(hi)
+    probe = 0.5 * hi
+    while lo == 0.0 and probe > 0.0:  # g(1) >= 0: halve down to the root
+        g_probe = checked(probe)
+        if g_probe < 0.0:
+            lo, g_lo = probe, g_probe
+        else:
+            hi, g_hi, probe = probe, g_probe, 0.5 * probe
+    kept, ref, stale = 0, hi - lo, 0  # kept: +1 or -1 when hi or lo survived the last step
+    for _ in range(_ROOT_MAX_ITER):
+        width = hi - lo
+        mid = lo + 0.5 * width
+        if not lo < mid < hi:
+            return hi
+        room = 4.0 * _EPS * hi
+        if stale >= _STALE_STEPS or width <= 2.0 * room:
+            t = mid
+        else:
+            t = min(max(lo - g_lo * width / (g_hi - g_lo), lo + room), hi - room)
+        g_t = checked(t)
+        if g_t >= 0.0:
+            hi, g_hi = t, g_t
+            if kept == -1:
+                g_lo *= 0.5  # Illinois: halve the value at the end kept twice
+            kept = -1
+        else:
+            lo, g_lo = t, g_t
+            if kept == 1:
+                g_hi *= 0.5
+            kept = 1
+        if hi - lo <= 0.5 * ref:
+            ref, stale = hi - lo, 0
+        else:
+            stale += 1
+    raise EvaluationError(f"root bracket still open after {_ROOT_MAX_ITER} steps")
 
 
 class LinearEstimator:
@@ -277,12 +349,15 @@ def conjectured_robust_estimator(
       a_i = (1 + lam lam_i^2)/(2 lam_i) + (d/m) (lam/(2 lam_i)) (sigma_z^2/sigma_c^2)
     for observed modes (lam_i > 0) and sigma_i = 0 for unobservable ones.
 
-    Both F and sigma_i are evaluated in algebraically equivalent forms that
-    avoid cancellation for large lam:
-      per-mode F term = sigma_c^2/d - R_i / (Q_i + sqrt(Q_i^2 - R_i)),
-      sigma_i = lam / (a_i + sqrt(a_i^2 - lam)),
-    with Q_i = (1 + lam lam_i^2) sigma_c^2/(2d) + lam sigma_z^2/(2m) and
-    R_i = lam lam_i^2 sigma_c^4/d^2.
+    With Q_i = (1 + lam lam_i^2) sigma_c^2/(2d) + lam sigma_z^2/(2m),
+    R_i = lam lam_i^2 sigma_c^4/d^2 and h_i = R_i / (Q_i + sqrt(Q_i^2 - R_i)),
+    the per-mode F term is sigma_c^2/d - h_i and sigma_i = h_i d / (sigma_c^2 lam_i);
+    Q_i^2 - R_i is summed from nonnegative parts, so nothing cancels.  lam*
+    is the root of F'(lam) = eps^2 - sum_i (R_i'/2 - Q_i' h_i) / sqrt(Q_i^2 - R_i)
+    found by _increasing_root.  F'(0) >= 0 is the collapse case lam* = 0,
+    H = 0, and F'(inf) = eps^2 > 0, so a root always exists.  At sigma_z = 0,
+    F has kinks at lam = 1/lam_i^2, where the mode's term is taken as its
+    right limit, 0.
     """
     if eps <= 0:
         raise InvalidParameterError(f"eps must be > 0, got {eps}")
@@ -292,33 +367,23 @@ def conjectured_robust_estimator(
     t2 = lam_fwd[observed] ** 2
     s2 = model.sigma_c**2 / model.d  # per-mode signal variance
     z2 = noise.sigma_z**2 / noise.m  # per-coordinate noise variance
-    eps2 = eps**2
-    sc2 = model.sigma_c**2
 
-    def objective(lam: float) -> float:
-        q = 0.5 * s2 * (1.0 + lam * t2) + 0.5 * z2 * lam
-        r = lam * t2 * s2**2
-        disc = np.maximum(q**2 - r, 0.0)  # >= 0 in exact arithmetic
-        return lam * eps2 + sc2 - float((r / (q + np.sqrt(disc))).sum())
+    def h_and_root_disc(lam: float) -> tuple[np.ndarray, np.ndarray]:
+        a = 0.5 * s2 * (1.0 + lam * t2)
+        b = 0.5 * z2 * lam
+        q = a + b
+        root_disc = np.sqrt((0.5 * s2 * (1.0 - lam * t2)) ** 2 + b * (q + a))  # sqrt(Q^2 - R)
+        return lam * t2 * s2**2 / (q + root_disc), root_disc
 
-    try:
-        lam_star, _ = minimize_convex(
-            ScalarProblem(objective, lower=0.0, tolerance=1e-10, lower_inclusive=True)
-        )
-    except BoundaryLimitError as exc:
-        raise DegenerateRegimeError(
-            f"lambda search pinned to an excluded boundary at eps={eps}"
-        ) from exc
+    def slope(lam: float) -> float:
+        h, root_disc = h_and_root_disc(lam)
+        numer = 0.5 * t2 * s2**2 - 0.5 * (s2 * t2 + z2) * h
+        terms = np.divide(numer, root_disc, out=np.zeros_like(h), where=root_disc > 0.0)
+        return eps**2 - float(terms.sum())
 
+    lam_star = _increasing_root(slope)
     sigma = np.zeros(lam_fwd.shape[0])
-    if lam_star > 0.0:
-        lam_obs = lam_fwd[observed]
-        a = (1.0 + lam_star * t2 + lam_star * z2 / s2) / (2.0 * lam_obs)
-        disc = a**2 - lam_star
-        if np.any(disc < -1e-14 * np.maximum(1.0, a**2)):
-            raise EvaluationError("per-mode discriminant significantly negative")
-        sigma[observed] = lam_star / (a + np.sqrt(np.maximum(disc, 0.0)))
-
+    sigma[observed] = h_and_root_disc(lam_star)[0] / (s2 * lam_fwd[observed])
     est = LinearEstimator.from_factors(model.basis @ v.T, sigma, w.T)
     profile = ShrinkageProfile(sigma_i=sigma, lambda_i=lam_fwd, lambda_star=float(lam_star))
     return est, profile
@@ -349,11 +414,6 @@ def mmse_estimator(
 ) -> LinearEstimator:
     """Standard-risk (eps = 0) optimal linear estimator: jittering at sigma_w = 0."""
     return optimal_jittering_estimator(model, op, noise, 0.0)
-
-
-def write_matrix_csv(estimator: LinearEstimator, path: str) -> None:
-    """Dense H as comma-separated rows."""
-    np.savetxt(path, estimator.matrix, delimiter=",", fmt="%.17g")
 
 
 def write_factored_text(estimator: LinearEstimator, path: str) -> None:

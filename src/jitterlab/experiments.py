@@ -334,11 +334,13 @@ def cmd_equivalence(cfg: dict) -> str:
 def cmd_gap(cfg: dict) -> str:
     """Standard vs best-jittering vs conjectured estimators, general operator.
 
-    The jitter level is optimized per eps by scalar minimization of the
-    analytic mode-form risk.  One evaluation set is drawn for the whole
-    run: the standard estimator is certified on it over the full eps grid,
-    and each per-eps estimator at its own eps.  Risk columns are
-    per-coordinate.
+    The jitter level is optimized per eps by best_jitter_level_analytic,
+    at the root of the derivative of the analytic mode-form risk; where
+    that risk only falls toward the zero estimator, sigma_w* is inf and
+    the `jittering-best` row certifies H = 0.  One evaluation set is drawn
+    for the whole run: the standard estimator is certified on it over the
+    full eps grid, and each per-eps estimator at its own eps.  Risk
+    columns are per-coordinate.
     """
     if cfg["operator"] not in ("linear-decay", "geometric"):
         raise ConfigError("gap needs operator=linear-decay or geometric")

@@ -24,8 +24,10 @@ evaluation set, shared by every estimator a driver compares, it averages
 the dual per eps with a 66% confidence interval (mean +- 0.954 SE).
 robust_risk_exact is a seeded draw plus certify.
 
-best_jitter_level_analytic scans jitter levels for the one whose
-jittering-optimal estimator has the least analytic mode-form risk.
+best_jitter_level_analytic finds the jitter level whose jittering-optimal
+estimator has the least analytic mode-form risk, as the root of that
+risk's derivative in sigma_w^2 (estimators._increasing_root, the root
+finder the conjectured estimator's dual uses too).
 """
 
 from __future__ import annotations
@@ -41,9 +43,8 @@ from .errors import (
     InvalidDimensionError,
     InvalidParameterError,
 )
-from .estimators import LinearEstimator, _jittering_shrinkage
+from .estimators import LinearEstimator, _increasing_root, _jittering_shrinkage
 from .model import ForwardOperator, NoiseModel, SubspaceModel, _check_triple, draw_sample_arrays
-from .scalar import ScalarProblem, minimize_convex
 
 # 66% two-sided normal quantile: CI = mean +- 0.954 * SE.
 CI_SCALE = 0.954
@@ -96,6 +97,10 @@ _SECULAR_RTOL = 1e-11
 # Least start for mu: its cube is still a normal float, and a root below it
 # leaves lam* = max s2 to working precision.
 _MU_FLOOR = float(np.finfo(float).tiny) ** (1.0 / 3.0)
+# Relative gap below which two forward singular values count as one in the
+# best-jitter scan's hard case; an SVD of A U with tied values spreads them
+# by a few float64 epsilons.
+_TIE_RTOL = 1e-10
 
 
 def _secular_terms(
@@ -354,18 +359,50 @@ def best_jitter_level_analytic(
 ) -> tuple[float, float]:
     """Jitter level minimizing the analytic robust risk of H_J(sigma_w).
 
-    Scans sigma_w >= 0 with the scalar minimizer; each evaluation solves
-    the one-dimensional mode-form dual.  Returns (sigma_w_star, risk).
+    Works in s = sigma_w^2, where R(s) is the mode-form risk of the
+    jittering shrinkage sigma_i(s); dR/dsigma_w vanishes at sigma_w = 0
+    for every input, dR/ds does not.  By the envelope theorem dR/ds is
+    sum_i dG/dsigma_i * dsigma_i/ds at the lam* that robust_risk_mode_form
+    returns, so each step of _increasing_root costs one mode-form solve.
+    Returns (sigma_w_star, risk).
+
+    If dR/ds is still negative once every sigma_i lambda_i has fallen below
+    float64 resolution, the infimum is the zero estimator, reached only as
+    sigma_w -> inf: the result is (inf, sigma_c^2), and
+    optimal_jittering_estimator(..., inf) is H = 0.  At sigma_z = 0 and
+    s = 0, H inverts A U on the subspace and every mode weight is 0, so
+    lam* sits on the dual's pole (its hard case); there, and wherever lam*
+    cannot be told from the pole in float64, dR/ds is the right limit at
+    sigma_z = s = 0, in which the weakest modes, tied to working
+    precision, take the whole budget eps.
     """
     _, lam, _ = op.au_svd(model)
+    d, m, sc2 = model.d, noise.m, model.sigma_c**2
+    s2, z2 = sc2 / d, noise.sigma_z**2 / m
+    nu = z2 * d
 
-    def risk_of(sigma_w: float) -> float:
-        sigma = _jittering_shrinkage(model, noise, lam, sigma_w)
-        value, _ = robust_risk_mode_form(
-            sigma, lam, model.sigma_c, noise.sigma_z, model.d, noise.m, eps
-        )
-        return value
+    def slope(s: float) -> float:
+        sigma = _jittering_shrinkage(model, noise, lam, math.sqrt(s))
+        _, lam_star = robust_risk_mode_form(sigma, lam, model.sigma_c, noise.sigma_z, d, m, eps)
+        if 0.0 < lam_star <= float(sigma.max()) ** 2:
+            # The hard case, to working precision: sigma_z = 0 at s = 0, see above.
+            lam_min = float(lam.min())
+            tied = np.count_nonzero(lam <= lam_min * (1.0 + _TIE_RTOL))
+            return 2.0 * eps * d / (sc2 * lam_min**3) * (math.sqrt(tied * s2) - eps / lam_min)
+        denom = sc2 * lam**2 + nu + s * d
+        miss = (nu + s * d) / denom  # 1 - sigma_i lambda_i, without cancellation
+        num = s2 * miss**2 + z2 * sigma**2
+        dnum = 2.0 * (z2 * sigma - s2 * lam * miss)  # d num_i / d sigma_i
+        if lam_star > 0.0:
+            rho = lam_star / (lam_star - sigma**2)
+            dnum = rho * (dnum + 2.0 * sigma * num * rho / lam_star)
+        return -d * float((sigma / denom) @ dnum)  # dsigma_i/ds = -d sigma_i / denom_i
 
-    return minimize_convex(
-        ScalarProblem(risk_of, lower=0.0, tolerance=1e-9, lower_inclusive=True)
-    )
+    # Past s_cap every sigma_i lambda_i is below float64 epsilon.
+    s_cap = sc2 * float(lam.max()) ** 2 / (d * np.finfo(float).eps)
+    if slope(s_cap) < 0.0:
+        return math.inf, sc2
+    s_star = _increasing_root(slope)
+    sigma = _jittering_shrinkage(model, noise, lam, math.sqrt(s_star))
+    risk, _ = robust_risk_mode_form(sigma, lam, model.sigma_c, noise.sigma_z, d, m, eps)
+    return math.sqrt(s_star), risk

@@ -303,16 +303,6 @@ class SweepResult:
     argmin_sigma_w: np.ndarray  # per eps
     n_samples: int
 
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("sigma_w,eps,risk,ci_low,ci_high\n")
-            for i, sw in enumerate(self.sigma_w_grid):
-                for j, eps in enumerate(self.eps_grid):
-                    fh.write(
-                        f"{sw:.12g},{eps:.12g},{self.risks[i, j]:.12g},"
-                        f"{self.ci_low[i, j]:.12g},{self.ci_high[i, j]:.12g}\n"
-                    )
-
 
 def sweep_jitter_levels(
     model: SubspaceModel,

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import jitterlab as jl
+from jitterlab.training import _fork_map
 
 D, N_AMBIENT = 50, 100
 
@@ -97,20 +98,30 @@ def test_criterion_4_trained_risks_match_closed_form():
     noise = jl.NoiseModel(m=N_AMBIENT, sigma_z=sigma_z)
     eps_grid = np.linspace(0.0, 0.7, 8)
     n_eval = 200
+    # The 16 independent runs go through _fork_map, all adversarial runs
+    # first, so that its strided split gives every worker the same mix.
+    configs = [
+        jl.TrainConfig(objective="adversarial", eps=float(eps), lr=1e-4, n_iterations=30000,
+                       seed=100 + j)
+        for j, eps in enumerate(eps_grid)
+    ] + [
+        jl.TrainConfig(
+            objective="jittering",
+            sigma_w=jl.jitter_level_for_eps(sigma_c, sigma_z, D, N_AMBIENT, float(eps)),
+            lr=1e-4, n_iterations=30000, seed=200 + j,
+        )
+        for j, eps in enumerate(eps_grid)
+    ]
+    trained = _fork_map(lambda config: jl.train(model, op, noise, config).estimator, configs)
     all_ok = True
     lines = []
     for j, eps in enumerate(eps_grid):
         eps = float(eps)
-        adv = jl.train(model, op, noise, jl.TrainConfig(
-            objective="adversarial", eps=eps, lr=1e-4, n_iterations=30000, seed=100 + j))
-        sw = jl.jitter_level_for_eps(sigma_c, sigma_z, D, N_AMBIENT, eps)
-        jit = jl.train(model, op, noise, jl.TrainConfig(
-            objective="jittering", sigma_w=sw, lr=1e-4, n_iterations=30000, seed=200 + j))
         alpha = jl.optimal_robust_alpha(sigma_c, sigma_z, D, N_AMBIENT, eps)
         cf = (eps * alpha + np.sqrt(
             jl.standard_risk_closed_form(alpha, sigma_c, sigma_z, D, N_AMBIENT))) ** 2
-        ra = jl.robust_risk_exact(adv.estimator, model, op, noise, eps, n_eval, seed=0)
-        rj = jl.robust_risk_exact(jit.estimator, model, op, noise, eps, n_eval, seed=0)
+        ra = jl.robust_risk_exact(trained[j], model, op, noise, eps, n_eval, seed=0)
+        rj = jl.robust_risk_exact(trained[8 + j], model, op, noise, eps, n_eval, seed=0)
         overlap = ra.ci_low[0] <= rj.ci_high[0] and rj.ci_low[0] <= ra.ci_high[0]
         cf_in_adv = ra.ci_low[0] <= cf <= ra.ci_high[0]
         cf_in_jit = rj.ci_low[0] <= cf <= rj.ci_high[0]

@@ -134,6 +134,20 @@ def test_gap_small_run_ordering(tmp_path):
     assert 0 < risks[("standard", "0")] < 1.0
 
 
+def test_gap_best_jitter_beats_standard(tmp_path):
+    # At sigma_z = 1 the best jitter level is far from 0, so the
+    # jittering-best rows must not repeat the standard ones.
+    out = str(tmp_path / "gap.csv")
+    assert main([
+        "gap", "--out", out, "--n", "20", "--d", "10", "--sigma-z", "1.0",
+        "--eps-grid", "0.3,0.5",
+    ]) == 0
+    _, _, rows = _read_rows(out)
+    risks = {(r["method"], r["eps"]): float(r["risk"]) for r in rows}
+    for eps in ("0.3", "0.5"):
+        assert risks[("jittering-best", eps)] < risks[("standard", eps)]
+
+
 def test_sweep_small_run_writes_argmin_file(tmp_path):
     out = str(tmp_path / "sw.csv")
     assert main([

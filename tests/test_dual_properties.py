@@ -6,6 +6,8 @@ small and the example sequence is fixed, so the module adds a few
 seconds to the suite and never flakes.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from jitterlab.attack import AttackConfig, pgd_attack, pgd_perturb_batch
 from jitterlab.errors import EvaluationError
 from jitterlab.estimators import (
     LinearEstimator,
+    _jittering_shrinkage,
     conjectured_robust_estimator,
     optimal_jittering_estimator,
     ridge_estimator,
@@ -27,7 +30,6 @@ from jitterlab.risk import (
     inner_max_dual,
     robust_risk_mode_form,
 )
-from jitterlab.scalar import ScalarProblem, minimize_convex
 
 _FAST = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -60,11 +62,31 @@ def test_batch_dual_equals_scalar_dual(seed, n_rows, n_cols, eps):
     assert np.max(np.abs(batch - scalar) / scalar) < 1e-12
 
 
+def _golden_section_min(f, a, b, steps=200):
+    """Least value a golden-section search on [a, b] sees of a convex f."""
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - shrink * (b - a), a + shrink * (b - a)
+    fc, fd = f(c), f(d)
+    best = min(f(a), f(b), fc, fd)
+    for _ in range(steps):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - shrink * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + shrink * (b - a)
+            fd = f(d)
+        best = min(best, fc, fd)
+    return best
+
+
 @_FAST
 @given(seeds, st.integers(1, 7), radii)
 def test_dual_matches_golden_section_reference(seed, n, eps):
-    # The bracket-plus-golden-section minimizer, which solved these duals
-    # before the secular solver, minimizes the same objective independently.
+    # A golden-section search, which solved these duals before the secular
+    # solver, minimizes the same objective independently.  The minimizer
+    # lies in [lo, lo + ||S vt|| / eps], where ||p(lam)|| <= eps.
     rng = np.random.default_rng(seed)
     est = LinearEstimator.from_matrix(rng.standard_normal((n, n)))
     v = rng.standard_normal(n)
@@ -76,9 +98,7 @@ def test_dual_matches_golden_section_reference(seed, n, eps):
             return lam * eps**2 + float(np.sum(np.where(vt2 == 0.0, 0.0, vt2 / (1 - s2 / lam))))
 
     lo = float(s2[0])
-    _, ref = minimize_convex(
-        ScalarProblem(objective, lower=lo, tolerance=1e-10 * max(1.0, lo), lower_inclusive=True)
-    )
+    ref = _golden_section_min(objective, lo, lo + math.sqrt(float(s2 @ vt2)) / eps)
     ref += max(float(v @ v) - float(vt2.sum()), 0.0)
     got = inner_max_dual(est, v, eps)
     assert got <= ref * (1 + 1e-13)
@@ -276,6 +296,39 @@ def test_conjectured_risk_at_most_best_jitter_risk(
     )
     _, jit = best_jitter_level_analytic(model, op, noise, eps)
     assert conj <= jit * (1 + 1e-12)
+
+
+@_FAST
+@given(
+    seeds,
+    st.integers(1, 10),
+    st.integers(1, 10),
+    st.sampled_from(["identity", "linear-decay", "geometric"]),
+    st.floats(0.3, 0.95),
+    st.floats(0.5, 2.0),
+    st.floats(0.05, 1.0),
+    st.floats(0.05, 0.6),
+)
+def test_best_jitter_level_beats_a_brute_force_grid(
+    seed, n, d, spectrum, ratio, sigma_c, sigma_z, eps_rel
+):
+    # No jitter level on a 2001-point grid has less mode-form risk than
+    # the level the scan returns (inf stands for the zero estimator).
+    d = min(d, n)
+    eps = eps_rel * sigma_c
+    model = make_subspace(n, d, sigma_c, seed=seed)
+    op = make_diagonal_operator(n, spectrum, ratio=ratio)
+    noise = NoiseModel(m=n, sigma_z=sigma_z)
+    _, lam, _ = op.au_svd(model)
+
+    def risk_at(sigma_w):
+        sigma = _jittering_shrinkage(model, noise, lam, sigma_w)
+        return robust_risk_mode_form(sigma, lam, sigma_c, sigma_z, d, n, eps)[0]
+
+    sw_star, risk = best_jitter_level_analytic(model, op, noise, eps)
+    grid_min = min(risk_at(sw) for sw in np.linspace(0.0, 2.0 * sigma_c, 2001))
+    assert risk <= grid_min * (1 + 1e-12)
+    assert risk == (sigma_c**2 if math.isinf(sw_star) else risk_at(sw_star))
 
 
 def test_non_convergence_raises(monkeypatch):

@@ -1,3 +1,4 @@
+import math
 import os
 import tempfile
 
@@ -6,13 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jitterlab.estimators as estimators
 from jitterlab.errors import (
+    EvaluationError,
     InvalidDimensionError,
     InvalidParameterError,
     OutOfRegimeError,
 )
 from jitterlab.estimators import (
     LinearEstimator,
+    _increasing_root,
     conjectured_robust_estimator,
     jitter_level_for_eps,
     jittering_denoiser_alpha,
@@ -23,7 +27,6 @@ from jitterlab.estimators import (
     read_factored_text,
     ridge_estimator,
     write_factored_text,
-    write_matrix_csv,
 )
 from jitterlab.model import NoiseModel, make_diagonal_operator, make_subspace
 
@@ -255,15 +258,6 @@ def test_factored_export_round_trip(tmp_path):
     assert np.max(np.abs(back.singular_values - est.singular_values)) < 1e-10
 
 
-def test_matrix_csv_round_trip(tmp_path):
-    model, op, noise = _setup()
-    est = mmse_estimator(model, op, noise)
-    path = os.path.join(tmp_path, "est.csv")
-    write_matrix_csv(est, path)
-    arr = np.loadtxt(path, delimiter=",")
-    assert np.max(np.abs(arr - est.matrix)) < 1e-12
-
-
 @pytest.mark.parametrize("rank", [0, 1, 5])  # 5 is full rank for a 6 x 5 map
 def test_factored_round_trip_at_every_rank(tmp_path, rank):
     rng = np.random.default_rng(rank)
@@ -330,3 +324,47 @@ def test_factored_read_rejects_bad_headers(tmp_path):
     open(path, "w").write("# left 1 1\n1\n\n# right 1 1\n1\n")
     with pytest.raises(InvalidParameterError):
         read_factored_text(path)
+
+
+def test_root_finder_interior_root():
+    # g = 2 (t - 2), the derivative of (t - 2)^2 + 3
+    assert abs(_increasing_root(lambda t: 2.0 * (t - 2.0)) - 2.0) <= 4e-16 * 2.0
+
+
+def test_root_finder_far_and_tiny_roots():
+    # the bracket doubles or halves from t = 1 to reach either
+    for root in (1e7, 1e-30):
+        got = _increasing_root(lambda t: math.atan(t / root - 1.0))
+        assert abs(got - root) <= 1e-15 * root
+
+
+def test_root_finder_returns_zero_when_the_slope_starts_nonnegative():
+    assert _increasing_root(lambda t: 1.0 + t) == 0.0
+    assert _increasing_root(lambda t: t) == 0.0
+
+
+def test_root_finder_lands_on_a_jump():
+    # the derivative of |t - 0.25|: the minimizer is the kink
+    got = _increasing_root(lambda t: -1.0 if t < 0.25 else 1.0)
+    assert got == 0.25
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_root_finder_rejects_a_non_finite_derivative(bad):
+    with pytest.raises(EvaluationError, match="not finite"):
+        _increasing_root(lambda t: bad)
+    with pytest.raises(EvaluationError, match="not finite"):
+        _increasing_root(lambda t: bad if t > 3.0 else -1.0)
+
+
+def test_root_finder_raises_without_a_sign_change():
+    with pytest.raises(EvaluationError, match="stays negative"):
+        _increasing_root(lambda t: -1.0)
+
+
+def test_root_finder_non_convergence_raises(monkeypatch):
+    model, op, noise = _setup(spectrum="linear-decay")
+    conjectured_robust_estimator(model, op, noise, 0.3)  # converges under the normal budget
+    monkeypatch.setattr(estimators, "_ROOT_MAX_ITER", 2)
+    with pytest.raises(EvaluationError, match="still open"):
+        conjectured_robust_estimator(model, op, noise, 0.3)

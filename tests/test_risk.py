@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from jitterlab.errors import DegenerateInputError, InvalidDimensionError, Invali
 from jitterlab.estimators import (
     LinearEstimator,
     conjectured_robust_estimator,
+    jitter_level_for_eps,
     mmse_estimator,
     optimal_jittering_estimator,
     optimal_robust_alpha,
@@ -15,6 +18,7 @@ from jitterlab.risk import (
     CI_SCALE,
     RiskReport,
     _mean_ci,
+    best_jitter_level_analytic,
     certify,
     dual_values_batch,
     inner_max_dual,
@@ -348,3 +352,49 @@ def test_risk_report_rejects_non_finite(field, bad):
     arrays[field] = [arrays[field][0], bad]
     with pytest.raises(InvalidParameterError):
         RiskReport(eps_grid=np.array([0.0, 0.5]), n_samples=10, **arrays)
+
+
+def test_best_jitter_level_at_identity_is_the_closed_form():
+    # Criterion 6's grid: at A = I the robust denoiser is a jittering
+    # denoiser, so the scan must land on jitter_level_for_eps.
+    for sigma_c in (0.7, 1.0, 2.0):
+        for sigma_z in (0.1, 0.5, 1.0):
+            for d, n in ((10, 20), (50, 100), (16, 16)):
+                model = make_subspace(n, d, sigma_c, seed=1)
+                op = make_diagonal_operator(n, "identity")
+                noise = NoiseModel(m=n, sigma_z=sigma_z)
+                for eps_frac in (0.2, 0.5, 0.8):
+                    eps = eps_frac * sigma_c
+                    sw, _ = best_jitter_level_analytic(model, op, noise, eps)
+                    expect = jitter_level_for_eps(sigma_c, sigma_z, d, n, eps)
+                    assert abs(sw - expect) <= 1e-9 * expect
+
+
+def test_best_jitter_level_collapses_to_the_zero_estimator():
+    # Past the collapse radius the mode-form risk only falls as sigma_w grows:
+    # the infimum is the zero map, reached as sigma_w -> inf.
+    model = make_subspace(20, 10, 1.0, seed=0)
+    op = make_diagonal_operator(20, "geometric", ratio=0.5)
+    noise = NoiseModel(m=20, sigma_z=0.2)
+    assert best_jitter_level_analytic(model, op, noise, 0.3) == (math.inf, 1.0)
+    jit = optimal_jittering_estimator(model, op, noise, math.inf)
+    assert np.all(jit.matrix == 0.0)
+    _, profile = conjectured_robust_estimator(model, op, noise, 0.3)
+    assert profile.lambda_star == 0.0
+
+
+def test_noiseless_denoising_keeps_every_mode():
+    # sigma_z = 0, A = I: H = U U' has risk eps^2.  The conjectured dual
+    # F(lam) = lam eps^2 + sum_i s2 (1 - min(1, lam lam_i^2)) has its kinks
+    # at lam = 1, the minimizer; every jitter level adds risk, and at s = 0
+    # every mode weight of the mode-form dual is 0, its hard case.
+    model = make_subspace(20, 10, 1.0, seed=1)
+    op = make_diagonal_operator(20, "identity")
+    noise = NoiseModel(m=20, sigma_z=0.0)
+    for eps in (0.05, 0.3, 0.9):
+        _, prof = conjectured_robust_estimator(model, op, noise, eps)
+        assert abs(prof.lambda_star - 1.0) <= 1e-12
+        assert np.max(np.abs(prof.sigma_i - 1.0)) <= 1e-12
+        sw, risk = best_jitter_level_analytic(model, op, noise, eps)
+        assert sw == 0.0
+        assert abs(risk - eps**2) <= 1e-12 * eps**2

@@ -14,7 +14,7 @@ from jitterlab.estimators import (
 from jitterlab.estimators import LinearEstimator
 from jitterlab.model import NoiseModel, make_diagonal_operator, make_subspace, rng_stream
 from jitterlab.training import (
-    SweepResult, TrainConfig, TrainTrace, _fork_map, sweep_jitter_levels, train,
+    TrainConfig, TrainTrace, _fork_map, sweep_jitter_levels, train,
 )
 
 
@@ -126,23 +126,6 @@ def test_sweep_shapes_and_zero_eps_argmin():
     assert np.all(res.ci_low <= res.risks) and np.all(res.risks <= res.ci_high)
     # at eps=0 any jitter only hurts: argmin must sit at sigma_w = 0
     assert res.argmin_sigma_w[0] == 0.0
-
-
-def test_sweep_csv(tmp_path):
-    res = SweepResult(
-        sigma_w_grid=np.array([0.0, 0.1]),
-        eps_grid=np.array([0.0]),
-        risks=np.array([[1.0], [2.0]]),
-        ci_low=np.array([[0.9], [1.9]]),
-        ci_high=np.array([[1.1], [2.1]]),
-        argmin_sigma_w=np.array([0.0]),
-        n_samples=10,
-    )
-    path = str(tmp_path / "sweep.csv")
-    res.to_csv(path)
-    lines = open(path).read().strip().splitlines()
-    assert lines[0] == "sigma_w,eps,risk,ci_low,ci_high"
-    assert len(lines) == 3
 
 
 def test_jitter_noise_shares_stream_with_batch():
