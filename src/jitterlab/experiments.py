@@ -7,8 +7,9 @@ comment recording the SHA-256 hash of the canonical config string together
 with the full configuration, so artifacts are self-describing and re-runs
 are byte-identical.  The training drivers (equivalence, large-eps, sweep)
 draw their evaluation set first, then train and certify their independent
-runs over one forked worker per available CPU (`training._fork_map`); the
-CSV is the same for any worker count.
+runs over one forked worker per available CPU (`training._fork_map`); gap
+does the same with its eps grid, building and certifying each eps's
+estimators in a worker.  The CSV is the same for any worker count.
 
 Risk columns in figure-style CSVs are per-coordinate (total risk divided
 by n); the sweep matrix keeps raw totals since only argmin locations
@@ -64,9 +65,13 @@ def _parse_str(text: str) -> str:
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
+    """Comma-separated finite values, each >= 0: every list key is a radius or a scale."""
     if text.strip() == "":
         return ()
-    return tuple(_parse_float(tok) for tok in text.split(","))
+    values = tuple(_parse_float(tok) for tok in text.split(","))
+    if any(value < 0 for value in values):
+        raise ValueError("values must be >= 0")
+    return values
 
 
 # key -> (parser, help)
@@ -338,27 +343,29 @@ def cmd_gap(cfg: dict) -> str:
     at the root of the derivative of the analytic mode-form risk; where
     that risk only falls toward the zero estimator, sigma_w* is inf and
     the `jittering-best` row certifies H = 0.  One evaluation set is drawn
-    for the whole run: the standard estimator is certified on it over the
-    full eps grid, and each per-eps estimator at its own eps.  Risk
-    columns are per-coordinate.
+    for the whole run, then each eps builds its two estimators and
+    certifies all three on that set at its own eps, in parallel, one
+    forked worker per available CPU.  Risk columns are per-coordinate.
     """
     if cfg["operator"] not in ("linear-decay", "geometric"):
         raise ConfigError("gap needs operator=linear-decay or geometric")
     model, op, noise = _build_setup(cfg)
     n = model.n
     x, y, _ = draw_sample_arrays(model, op, noise, cfg["eval_samples"], _sub_seed(cfg["seed"], 0))
-    std = certify(mmse_estimator(model, op, noise), x, y, cfg["eps_grid"])
-    rows = []
-    for j, eps in enumerate(cfg["eps_grid"]):
-        eps = float(eps)
-        cells = [_risk_cells(std, j, n)]
+    std = mmse_estimator(model, op, noise)
+
+    def certify_at(eps: float) -> list[str]:
+        cells = [_risk_cells(certify(std, x, y, eps), 0, n)]
         if eps == 0.0:
-            cells *= 3  # all three estimators are the standard one at eps = 0
-        else:
-            sw_star, _ = best_jitter_level_analytic(model, op, noise, eps)
-            jit = optimal_jittering_estimator(model, op, noise, sw_star)
-            conj, _ = conjectured_robust_estimator(model, op, noise, eps)
-            cells += [_risk_cells(certify(est, x, y, eps), 0, n) for est in (jit, conj)]
+            return cells * 3  # all three estimators are the standard one at eps = 0
+        sw_star, _ = best_jitter_level_analytic(model, op, noise, eps)
+        jit = optimal_jittering_estimator(model, op, noise, sw_star)
+        conj, _ = conjectured_robust_estimator(model, op, noise, eps)
+        return cells + [_risk_cells(certify(est, x, y, eps), 0, n) for est in (jit, conj)]
+
+    eps_grid = [float(eps) for eps in cfg["eps_grid"]]
+    rows = []
+    for eps, cells in zip(eps_grid, _fork_map(certify_at, eps_grid)):
         for method, cell in zip(("standard", "jittering-best", "conjectured"), cells):
             rows.append(f"{method},{_g(eps)},{_g(eps**2 / model.sigma_c**2)},{cell}\n")
     return _emit("gap", cfg, "method,eps,eps_sq_rel,risk,ci_low,ci_high", rows, cfg["out"])
@@ -376,8 +383,6 @@ def cmd_large_eps(cfg: dict) -> str:
     """
     if cfg["operator"] != "identity":
         raise ConfigError("large-eps runs the denoising setup: operator=identity")
-    if any(rel < 0 for rel in cfg["eps_sq_rel_grid"]):
-        raise ConfigError("eps_sq_rel_grid values must be >= 0")
     rows = []
     sigma_c = cfg["sigma_c"]
     for li, level in enumerate(cfg["noise_levels"]):

@@ -402,7 +402,10 @@ def best_jitter_level_analytic(
     s_cap = sc2 * float(lam.max()) ** 2 / (d * np.finfo(float).eps)
     if slope(s_cap) < 0.0:
         return math.inf, sc2
-    s_star = _increasing_root(slope)
+    # Solve in t = s / s0, where s0 halves the weakest mode's shrinkage, so
+    # that the bracket opens near s* rather than at s = 1.
+    s0 = z2 + s2 * float(lam.min()) ** 2 or 1.0
+    s_star = s0 * _increasing_root(lambda t: slope(s0 * t))
     sigma = _jittering_shrinkage(model, noise, lam, math.sqrt(s_star))
     risk, _ = robust_risk_mode_form(sigma, lam, model.sigma_c, noise.sigma_z, d, m, eps)
     return math.sqrt(s_star), risk

@@ -86,8 +86,10 @@ def test_bad_key_fails_with_json_error(tmp_path, capsys):
     ["gap", "--eps-grid", ""],
     ["large-eps", "--noise-levels", ""],
     ["large-eps", "--eps-sq-rel-grid", "-1"],
+    ["gap", "--eps-grid=-0.1,0.2"],
+    ["equivalence", "--eps-grid", "0.2,-0.1"],
 ], ids=["non-finite", "empty-sweep-eps", "empty-gap-eps", "empty-noise-levels",
-        "negative-eps-sq-rel"])
+        "negative-eps-sq-rel", "negative-gap-eps", "negative-equivalence-eps"])
 def test_bad_list_fails_with_json_error_and_writes_nothing(tmp_path, capsys, args):
     out = tmp_path / "x.csv"
     assert main(args + ["--out", str(out)]) == 1
@@ -184,8 +186,8 @@ def test_drivers_draw_the_evaluation_set_once(monkeypatch, command):
     assert len(draws) == expected
 
 
-@pytest.mark.parametrize("command", ["equivalence", "large-eps", "sweep"])
-def test_training_drivers_write_the_same_bytes_on_one_or_two_cpus(tmp_path, monkeypatch, command):
+@pytest.mark.parametrize("command", ["equivalence", "gap", "large-eps", "sweep"])
+def test_drivers_write_the_same_bytes_on_one_or_two_cpus(tmp_path, monkeypatch, command):
     # The drivers fork one worker per available CPU; the output must not
     # depend on how many there are.  Default grids, tiny sizes and budgets.
     outputs = {}

@@ -398,3 +398,23 @@ def test_noiseless_denoising_keeps_every_mode():
         sw, risk = best_jitter_level_analytic(model, op, noise, eps)
         assert sw == 0.0
         assert abs(risk - eps**2) <= 1e-12 * eps**2
+
+
+def test_best_jitter_scan_brackets_near_the_root(monkeypatch):
+    # The scan solves in units of the jitter variance that halves the
+    # weakest mode's shrinkage, where s* = sigma_w*^2 sits, instead of
+    # halving down from s = 1.  gap's default setting and eps grid: 291
+    # mode-form solves over the 15 scans, against 394 when bracketing from 1.
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return robust_risk_mode_form(*args, **kwargs)
+
+    monkeypatch.setattr("jitterlab.risk.robust_risk_mode_form", counting)
+    model = make_subspace(100, 50, 1.0, seed=0)
+    op = make_diagonal_operator(100, "linear-decay")
+    noise = NoiseModel(m=100, sigma_z=0.2)
+    for eps in np.linspace(0.0, 0.5, 16)[1:]:
+        best_jitter_level_analytic(model, op, noise, float(eps))
+    assert len(calls) <= 320
