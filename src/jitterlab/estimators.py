@@ -361,6 +361,8 @@ def conjectured_robust_estimator(
     """
     if eps <= 0:
         raise InvalidParameterError(f"eps must be > 0, got {eps}")
+    if model.sigma_c <= 0:
+        raise InvalidParameterError(f"need sigma_c > 0, got {model.sigma_c}")
     _check_triple(model, op, noise)
     w, lam_fwd, v = op.au_svd(model)
     observed = lam_fwd > 0.0

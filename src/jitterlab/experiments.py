@@ -50,7 +50,11 @@ COMMANDS = ("alpha-curve", "equivalence", "gap", "large-eps", "sweep")
 
 
 def _parse_int(text: str) -> int:
-    return int(text)
+    """An integer >= 0: every integer key is a size, a count or the seed."""
+    value = int(text)
+    if value < 0:
+        raise ValueError("value must be >= 0")
+    return value
 
 
 def _parse_float(text: str) -> float:

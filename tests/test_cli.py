@@ -99,6 +99,22 @@ def test_bad_list_fails_with_json_error_and_writes_nothing(tmp_path, capsys, arg
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args, error", [
+    (["gap", "--seed", "-1"], "ConfigError"),
+    (["gap", "--sigma-c", "0"], "InvalidParameterError"),
+], ids=["negative-seed", "zero-sigma-c"])
+def test_bad_value_fails_with_one_json_line_and_writes_nothing(tmp_path, capfd, args, error):
+    # capfd, not capsys: gap's forked workers write to the file descriptor
+    out = tmp_path / "x.csv"
+    assert main(args + ["--n", "8", "--d", "2", "--eval-samples", "10", "--out", str(out)]) == 1
+    lines = capfd.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == error
+    assert args[1][2:].replace("-", "_") in payload["detail"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text("warp_factor=9\n")

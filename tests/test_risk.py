@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from jitterlab.estimators import (
 )
 from jitterlab.model import NoiseModel, draw_sample_arrays, make_diagonal_operator, make_subspace
 from jitterlab.risk import (
+    _CERTIFY_COLUMNS,
     CI_SCALE,
     RiskReport,
     _mean_ci,
@@ -267,15 +269,30 @@ def test_certify_equals_residual_dual_ci(kind):
     model, op, noise = _setup(n=16, d=5, sigma_z=0.4, spectrum="linear-decay")
     est = _certify_estimator(kind, model, op, noise)
     grid = np.array([0.0, 0.1, 0.35, 1.0])
-    x, y, _ = draw_sample_arrays(model, op, noise, 300, 7)
-    rep = certify(est, x, y, grid)
-    v = residuals(est, model, op, noise, 300, 7)
-    ref = np.array([_mean_ci(dual_values_batch(est, v, float(e))) for e in grid])
-    assert rep.values.tolist() == ref[:, 0].tolist()
-    assert rep.ci_low.tolist() == ref[:, 1].tolist()
-    assert rep.ci_high.tolist() == ref[:, 2].tolist()
-    assert rep.eps_grid.tolist() == grid.tolist()
-    assert rep.n_samples == 300
+    # below one certify block, exactly one, and 2.5 blocks (a ragged tail)
+    for n_samples in (300, _CERTIFY_COLUMNS, 5 * _CERTIFY_COLUMNS // 2):
+        x, y, _ = draw_sample_arrays(model, op, noise, n_samples, 7)
+        rep = certify(est, x, y, grid)
+        v = residuals(est, model, op, noise, n_samples, 7)
+        ref = np.array([_mean_ci(dual_values_batch(est, v, float(e))) for e in grid])
+        assert rep.values.tolist() == ref[:, 0].tolist()
+        assert rep.ci_low.tolist() == ref[:, 1].tolist()
+        assert rep.ci_high.tolist() == ref[:, 2].tolist()
+        assert rep.eps_grid.tolist() == grid.tolist()
+        assert rep.n_samples == n_samples
+
+
+def test_certify_never_holds_a_full_residual():
+    model, op, noise = _setup(n=100, d=50, sigma_z=0.2, spectrum="linear-decay")
+    est = optimal_jittering_estimator(model, op, noise, 0.3)
+    x, y, _ = draw_sample_arrays(model, op, noise, 10000, 3)
+    tracemalloc.start()
+    try:
+        certify(est, x, y, np.linspace(0.0, 0.5, 16))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes  # one n x N float64 array, 7.6 MiB
 
 
 def test_certify_rejects_non_finite_input():
