@@ -5,19 +5,21 @@ normalized-gradient steps
 
     e^{j+1} = P_{B(0, eps)}( e^j + step * De^j / ||De^j|| ),
 
-step = step_scale * eps / n_steps, starting from e^0 = 0 (restart 0) and
-optionally from uniformly random directions of radius restart_scale * eps.
-For the linear family f(y) = H y the gradient is analytic,
-De = 2 H' (H (y + e) - x), so no autodiff is needed.
+step = step_scale * eps / n_steps.  For the linear family f(y) = H y the
+gradient is analytic, De = 2 H' (H (y + e) - x), so no autodiff is needed.
 
-The returned value is the best over all iterates of all restarts, never a
-final-iterate regression; for linear estimators it is a lower bound on the
-exact dual value, with equality (to ~1e-4 relative) at evaluation-grade
-step/restart budgets.
+One loop steps the columns of a block side by side.  pgd_perturb_batch
+runs one attack per minibatch column from e^0 = 0 and returns the final
+iterates.  pgd_attack runs its restarts as the columns (column 0 from
+zero, the others from random points at radius eps) and returns the best
+of every iterate of every restart: a lower bound on the exact dual value,
+with equality (to ~1e-4 relative) at evaluation-grade budgets.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,28 +29,50 @@ from .estimators import LinearEstimator
 from .model import rng_stream
 
 
+def _check_budget(eps: float, n_steps: int, step_scale: float) -> None:
+    if not (math.isfinite(eps) and eps >= 0 and math.isfinite(step_scale) and step_scale > 0):
+        raise InvalidParameterError(f"need finite eps >= 0, step_scale > 0; got {eps}, {step_scale}")
+    if not n_steps >= 1:
+        raise InvalidParameterError(f"need n_steps >= 1, got {n_steps}")
+
+
 @dataclass(frozen=True)
 class AttackConfig:
     """PGD budget: radius, step count/scale, restarts.
 
     n_restarts counts total runs including the deterministic start at 0;
-    restart_scale fixes the radius (as a fraction of eps) of the random
-    initial points used by restarts 1, 2, ...
+    restarts 1, 2, ... start at random points on the sphere of radius eps.
     """
 
     eps: float
     n_steps: int
     step_scale: float = 2.5
     n_restarts: int = 1
-    restart_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.eps >= 0:
-            raise InvalidParameterError(f"eps must be >= 0, got {self.eps}")
-        if self.n_steps < 1 or self.n_restarts < 1:
-            raise InvalidParameterError("need n_steps >= 1 and n_restarts >= 1")
-        if self.step_scale <= 0 or not (0.0 <= self.restart_scale <= 1.0):
-            raise InvalidParameterError("need step_scale > 0 and restart_scale in [0, 1]")
+        _check_budget(self.eps, self.n_steps, self.step_scale)
+        if not self.n_restarts >= 1:
+            raise InvalidParameterError(f"need n_restarts >= 1, got {self.n_restarts}")
+
+
+def _pgd_iterates(
+    h: np.ndarray, r0: np.ndarray, e: np.ndarray, eps: float, n_steps: int, step_scale: float
+) -> Iterator[np.ndarray]:
+    """Step the columns of e in place, yielding r0 + H e^j while e holds e^j.
+
+    The final iterate's residual is left to the caller.
+    """
+    step = step_scale * eps / n_steps
+    for j in range(n_steps):
+        resid = r0 + h @ e if j or e.any() else r0  # H e is zero from a zero start
+        yield resid
+        # The gradient is 2 H' resid; its factor 2 cancels in the normalisation.
+        grad = h.T @ resid
+        gnorm = np.linalg.norm(grad, axis=0)
+        grad *= np.where(gnorm > 0.0, step / np.where(gnorm > 0.0, gnorm, 1.0), 0.0)
+        e += grad
+        enorm = np.linalg.norm(e, axis=0)
+        e *= np.where(enorm > eps, eps / np.where(enorm > 0.0, enorm, 1.0), 1.0)
 
 
 def pgd_attack(
@@ -60,61 +84,32 @@ def pgd_attack(
 ) -> tuple[np.ndarray, float]:
     """Best perturbation found by projected gradient ascent.
 
-    Returns (perturbation, value) with ||perturbation|| <= eps and value
-    the max of the squared error over every iterate visited.  A zero
-    gradient leaves the iterate unchanged for that step.
+    Returns (perturbation, value) with ||perturbation|| <= eps and value the
+    max of the squared error over every iterate visited, the lowest restart
+    winning ties.  A zero gradient leaves the iterate unchanged for that step.
     """
     y = np.asarray(y, dtype=float)
     h = estimator.matrix
-    r0 = h @ y - np.asarray(x, dtype=float)
+    n_restarts, eps = config.n_restarts, config.eps
+    r0 = np.repeat((h @ y - np.asarray(x, dtype=float))[:, None], n_restarts, axis=1)
+    # Restart k >= 1 starts along row k - 1: successive draws of one stream.
+    starts = rng_stream(seed, 0).standard_normal((n_restarts - 1, y.shape[0])).T
+    e = np.hstack([np.zeros((y.shape[0], 1)), starts * (eps / np.linalg.norm(starts, axis=0))])
+    best_e = e.copy()
+    best_value = np.full(n_restarts, -np.inf)
 
-    def value_and_grad(e: np.ndarray) -> tuple[float, np.ndarray]:
-        resid = r0 + h @ e
-        return float(resid @ resid), 2.0 * (h.T @ resid)
-
-    m = y.shape[0]
-    eps = config.eps
-
-    base_value, _ = value_and_grad(np.zeros(m))
-    if not np.isfinite(base_value):
-        raise AttackDivergenceError("squared error non-finite at zero perturbation")
-    best_e = np.zeros(m)
-    best_value = base_value
-    if eps == 0.0:
-        return best_e, best_value
-
-    step = config.step_scale * eps / config.n_steps
-    rng = rng_stream(seed, 0)
-    for restart in range(config.n_restarts):
-        if restart == 0:
-            e = np.zeros(m)
-        else:
-            direction = rng.standard_normal(m)
-            norm = np.linalg.norm(direction)
-            while norm == 0.0:  # probability-zero redraw guard
-                direction = rng.standard_normal(m)
-                norm = np.linalg.norm(direction)
-            e = (config.restart_scale * eps / norm) * direction
-        for _ in range(config.n_steps):
-            value, grad = value_and_grad(e)
-            if not np.isfinite(value):
-                raise AttackDivergenceError("squared error non-finite at an iterate")
-            if value > best_value:
-                best_value = value
-                best_e = e.copy()
-            gnorm = float(np.linalg.norm(grad))
-            if gnorm > 0.0:
-                e = e + (step / gnorm) * grad
-                enorm = float(np.linalg.norm(e))
-                if enorm > eps:
-                    e *= eps / enorm
-        value, _ = value_and_grad(e)
-        if not np.isfinite(value):
+    def keep(resid: np.ndarray) -> None:
+        value = np.einsum("ij,ij->j", resid, resid)
+        if not np.all(np.isfinite(value)):
             raise AttackDivergenceError("squared error non-finite at an iterate")
-        if value > best_value:
-            best_value = value
-            best_e = e.copy()
-    return best_e, best_value
+        np.copyto(best_e, e, where=value > best_value)
+        np.maximum(best_value, value, out=best_value)
+
+    for resid in _pgd_iterates(h, r0, e, eps, config.n_steps, config.step_scale):
+        keep(resid)
+    keep(r0 + h @ e)
+    k = int(np.argmax(best_value))
+    return best_e[:, k], float(best_value[k])
 
 
 def pgd_perturb_batch(
@@ -133,24 +128,12 @@ def pgd_perturb_batch(
     gradient consumes.  Matches pgd_attack with n_restarts = 1 up to
     best-iterate tracking.
     """
-    if not eps >= 0:
-        raise InvalidParameterError(f"eps must be >= 0, got {eps}")
-    if n_steps < 1:
-        raise InvalidParameterError(f"need n_steps >= 1, got {n_steps}")
+    _check_budget(eps, n_steps, step_scale)
     e = np.zeros_like(y)
     if eps == 0.0:
         return e
-    r0 = h @ y - x
-    step = step_scale * eps / n_steps
-    for k in range(n_steps):
-        # Ascent direction H'(r0 + H e); the gradient's exact factor 2 cancels
-        # in the normalisation, and H e is zero on the first step.
-        grad = h.T @ (r0 if k == 0 else r0 + h @ e)
-        gnorm = np.linalg.norm(grad, axis=0)
-        grad *= np.where(gnorm > 0.0, step / np.where(gnorm > 0.0, gnorm, 1.0), 0.0)
-        e += grad
-        enorm = np.linalg.norm(e, axis=0)
-        e *= np.where(enorm > eps, eps / np.where(enorm > 0.0, enorm, 1.0), 1.0)
+    for _ in _pgd_iterates(h, h @ y - x, e, eps, n_steps, step_scale):
+        pass
     if not np.all(np.isfinite(e)):
         raise AttackDivergenceError("batch attack produced non-finite perturbations")
     return e

@@ -26,7 +26,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidParameterError
 from .estimators import (
     mmse_estimator,
     conjectured_robust_estimator,
@@ -387,8 +387,10 @@ def cmd_large_eps(cfg: dict) -> str:
     """
     if cfg["operator"] != "identity":
         raise ConfigError("large-eps runs the denoising setup: operator=identity")
-    rows = []
     sigma_c = cfg["sigma_c"]
+    if not sigma_c > 0:  # eps = sqrt(eps_sq_rel) * sigma_c would all be 0
+        raise InvalidParameterError(f"need sigma_c > 0, got {sigma_c}")
+    rows = []
     for li, level in enumerate(cfg["noise_levels"]):
         level_cfg = dict(cfg)
         level_cfg["sigma_z"] = float(level * np.sqrt(cfg["n"]))

@@ -166,8 +166,8 @@ class TrainConfig:
             raise InvalidParameterError("momentum must lie in [0, 1)")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise InvalidParameterError("beta1 and beta2 must lie in [0, 1)")
-        if self.eps_hat <= 0:
-            raise InvalidParameterError("eps_hat must be > 0")
+        if self.eps_hat <= 0 or self.attack_step_scale <= 0:
+            raise InvalidParameterError("eps_hat and attack_step_scale must be > 0")
         if self.attack_steps < 1 or self.record_every < 1:
             raise InvalidParameterError("attack_steps and record_every must be >= 1")
 

@@ -18,15 +18,25 @@ def _case(seed, n=8):
     return est, x, y, eps
 
 
+# (eps, n_steps, step_scale) budgets that both entry points reject up front.
+_BAD_BUDGETS = [
+    (-0.1, 10, 2.5),
+    (float("nan"), 10, 2.5),
+    (float("inf"), 10, 2.5),
+    (0.1, 0, 2.5),
+    (0.1, 10, 0.0),
+    (0.1, 10, -1.0),
+    (0.1, 10, float("nan")),
+    (0.1, 10, float("inf")),
+]
+
+
 def test_attack_config_validation():
+    for eps, n_steps, step_scale in _BAD_BUDGETS:
+        with pytest.raises(InvalidParameterError):
+            AttackConfig(eps=eps, n_steps=n_steps, step_scale=step_scale)
     with pytest.raises(InvalidParameterError):
-        AttackConfig(eps=-0.1, n_steps=10)
-    with pytest.raises(InvalidParameterError):
-        AttackConfig(eps=float("nan"), n_steps=10)
-    with pytest.raises(InvalidParameterError):
-        AttackConfig(eps=0.1, n_steps=0)
-    with pytest.raises(InvalidParameterError):
-        AttackConfig(eps=0.1, n_steps=10, restart_scale=1.5)
+        AttackConfig(eps=0.1, n_steps=10, n_restarts=0)
 
 
 def test_attack_feasible_and_improves():
@@ -152,7 +162,73 @@ def test_perturb_batch_bit_identical_to_reference_loop(n_steps):
 
 
 def test_perturb_batch_rejects_nan_eps():
+    # and every other budget AttackConfig rejects
     rng = np.random.default_rng(3)
     h, x, y = rng.standard_normal((4, 4)), rng.standard_normal((4, 6)), rng.standard_normal((4, 6))
-    with pytest.raises(InvalidParameterError):
-        pgd_perturb_batch(h, x, y, float("nan"), n_steps=3)
+    for eps, n_steps, step_scale in _BAD_BUDGETS:
+        with pytest.raises(InvalidParameterError):
+            pgd_perturb_batch(h, x, y, eps, n_steps, step_scale)
+
+
+def _reference_pgd_attack(est, x, y, config, seed):
+    # The single-sample loop: one restart after another, each restart's
+    # direction a fresh standard_normal(m) draw, scalar best-iterate tracking.
+    h = est.matrix
+    r0 = h @ y - x
+
+    def value_and_grad(e):
+        resid = r0 + h @ e
+        return float(resid @ resid), 2.0 * (h.T @ resid)
+
+    m, eps = y.shape[0], config.eps
+    best_e = np.zeros(m)
+    best_value, _ = value_and_grad(best_e)
+    if eps == 0.0:
+        return best_e, best_value
+    step = config.step_scale * eps / config.n_steps
+    rng = rng_stream(seed, 0)
+    for restart in range(config.n_restarts):
+        if restart == 0:
+            e = np.zeros(m)
+        else:
+            direction = rng.standard_normal(m)
+            e = (eps / np.linalg.norm(direction)) * direction
+        for _ in range(config.n_steps):
+            value, grad = value_and_grad(e)
+            if value > best_value:
+                best_value, best_e = value, e.copy()
+            gnorm = float(np.linalg.norm(grad))
+            if gnorm > 0.0:
+                e = e + (step / gnorm) * grad
+                enorm = float(np.linalg.norm(e))
+                if enorm > eps:
+                    e *= eps / enorm
+        value, _ = value_and_grad(e)
+        if value > best_value:
+            best_value, best_e = value, e.copy()
+    return best_e, best_value
+
+
+@pytest.mark.parametrize("step_scale", [2.5, 25.0])
+def test_attack_matches_reference_loop(step_scale):
+    for seed in range(20):
+        rng = np.random.default_rng(100 + seed)
+        n, m = rng.integers(2, 9, size=2)
+        est = LinearEstimator.from_matrix(rng.standard_normal((n, m)))
+        x, y = rng.standard_normal(n), rng.standard_normal(m)
+        eps = 0.0 if seed == 0 else float(rng.uniform(0.05, 2.0))
+        cfg = AttackConfig(eps=eps, n_steps=int(rng.integers(1, 201)),
+                           n_restarts=int(rng.integers(1, 9)), step_scale=step_scale)
+        e, val = pgd_attack(est, x, y, cfg, seed=seed)
+        _, ref = _reference_pgd_attack(est, x, y, cfg, seed=seed)
+        assert val == pytest.approx(ref, rel=1e-12)
+        assert np.linalg.norm(e) <= eps * (1 + 1e-12)
+        assert val == pytest.approx(float(np.sum((est.apply(y + e) - x) ** 2)), rel=1e-12)
+
+
+@pytest.mark.parametrize("n_restarts, m", [(2, 1), (5, 7), (9, 40)])
+def test_restart_block_rows_are_successive_draws(n_restarts, m):
+    block = rng_stream(4, 0).standard_normal((n_restarts - 1, m))
+    rng = rng_stream(4, 0)
+    for row in block:
+        assert np.array_equal(row, rng.standard_normal(m))

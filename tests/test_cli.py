@@ -102,7 +102,8 @@ def test_bad_list_fails_with_json_error_and_writes_nothing(tmp_path, capsys, arg
 @pytest.mark.parametrize("args, error", [
     (["gap", "--seed", "-1"], "ConfigError"),
     (["gap", "--sigma-c", "0"], "InvalidParameterError"),
-], ids=["negative-seed", "zero-sigma-c"])
+    (["large-eps", "--sigma-c", "0"], "InvalidParameterError"),
+], ids=["negative-seed", "zero-sigma-c", "large-eps-zero-sigma-c"])
 def test_bad_value_fails_with_one_json_line_and_writes_nothing(tmp_path, capfd, args, error):
     # capfd, not capsys: gap's forked workers write to the file descriptor
     out = tmp_path / "x.csv"

@@ -36,6 +36,8 @@ def test_config_validation():
         TrainConfig(optimizer="lbfgs")
     with pytest.raises(InvalidParameterError):
         TrainConfig(objective="adversarial", eps=-0.1)
+    with pytest.raises(InvalidParameterError):
+        TrainConfig(objective="adversarial", eps=0.1, attack_step_scale=0.0)
 
 
 @pytest.mark.parametrize("field", ["eps", "sigma_w", "lr", "eps_hat", "attack_step_scale"])
