@@ -8,12 +8,15 @@ normalized-gradient steps
 step = step_scale * eps / n_steps.  For the linear family f(y) = H y the
 gradient is analytic, De = 2 H' (H (y + e) - x), so no autodiff is needed.
 
-One loop steps the columns of a block side by side.  pgd_perturb_batch
-runs one attack per minibatch column from e^0 = 0 and returns the final
-iterates.  pgd_attack runs its restarts as the columns (column 0 from
-zero, the others from random points at radius eps) and returns the best
-of every iterate of every restart: a lower bound on the exact dual value,
-with equality (to ~1e-4 relative) at evaluation-grade budgets.
+One loop steps the columns of a block side by side, in buffers allocated
+once per call; leading axes stack independent blocks, each with its own
+radius.  pgd_perturb_batch runs one attack per minibatch column from
+e^0 = 0 and returns the final iterates, for one minibatch or a stack of
+them (the lockstep training loop).  pgd_attack runs its restarts as the
+columns (column 0 from zero, the others from random points at radius eps)
+and returns the best of every iterate of every restart: a lower bound on
+the exact dual value, with equality (to ~1e-4 relative) at
+evaluation-grade budgets.
 """
 
 from __future__ import annotations
@@ -29,8 +32,11 @@ from .estimators import LinearEstimator
 from .model import rng_stream
 
 
-def _check_budget(eps: float, n_steps: int, step_scale: float) -> None:
-    if not (math.isfinite(eps) and eps >= 0 and math.isfinite(step_scale) and step_scale > 0):
+def _check_budget(eps: float | np.ndarray, n_steps: int, step_scale: float) -> None:
+    """eps is one radius or an array of them, one per stacked run."""
+    radii = np.asarray(eps, dtype=float)
+    if not (np.all(np.isfinite(radii)) and np.all(radii >= 0)
+            and math.isfinite(step_scale) and step_scale > 0):
         raise InvalidParameterError(f"need finite eps >= 0, step_scale > 0; got {eps}, {step_scale}")
     if not n_steps >= 1:
         raise InvalidParameterError(f"need n_steps >= 1, got {n_steps}")
@@ -55,24 +61,56 @@ class AttackConfig:
             raise InvalidParameterError(f"need n_restarts >= 1, got {self.n_restarts}")
 
 
+def _column_norms(a: np.ndarray, sq: np.ndarray, out: np.ndarray) -> None:
+    """out = the 2-norms of a's columns (axis -2), with the bits of np.linalg.norm."""
+    np.multiply(a, a, out=sq)
+    np.add.reduce(sq, axis=-2, keepdims=True, out=out)
+    np.sqrt(out, out=out)
+
+
 def _pgd_iterates(
-    h: np.ndarray, r0: np.ndarray, e: np.ndarray, eps: float, n_steps: int, step_scale: float
+    h: np.ndarray,
+    r0: np.ndarray,
+    e: np.ndarray,
+    eps: float | np.ndarray,
+    n_steps: int,
+    step_scale: float,
 ) -> Iterator[np.ndarray]:
     """Step the columns of e in place, yielding r0 + H e^j while e holds e^j.
 
-    The final iterate's residual is left to the caller.
+    h is (..., n, m), r0 (..., n, B) and e (..., m, B); eps is one radius or
+    an array of radii broadcasting against (..., 1, B).  The yielded
+    residual is a buffer that the next step overwrites.  The final
+    iterate's residual is left to the caller.
     """
     step = step_scale * eps / n_steps
+    h_t = np.swapaxes(h, -1, -2)
+    resid = np.empty_like(r0)
+    grad, sq = np.empty_like(e), np.empty_like(e)
+    norm = np.empty(e.shape[:-2] + (1, e.shape[-1]))
+    scale = np.empty_like(norm)
+    mask = np.empty(norm.shape, dtype=bool)
     for j in range(n_steps):
-        resid = r0 + h @ e if j or e.any() else r0  # H e is zero from a zero start
-        yield resid
+        if j or e.any():
+            np.matmul(h, e, out=resid)
+            resid += r0
+            current = resid
+        else:
+            current = r0  # H e is zero from a zero start
+        yield current
         # The gradient is 2 H' resid; its factor 2 cancels in the normalisation.
-        grad = h.T @ resid
-        gnorm = np.linalg.norm(grad, axis=0)
-        grad *= np.where(gnorm > 0.0, step / np.where(gnorm > 0.0, gnorm, 1.0), 0.0)
+        np.matmul(h_t, current, out=grad)
+        _column_norms(grad, sq, norm)
+        np.greater(norm, 0.0, out=mask)
+        scale.fill(0.0)
+        np.divide(step, norm, out=scale, where=mask)
+        grad *= scale
         e += grad
-        enorm = np.linalg.norm(e, axis=0)
-        e *= np.where(enorm > eps, eps / np.where(enorm > 0.0, enorm, 1.0), 1.0)
+        _column_norms(e, sq, norm)
+        np.greater(norm, eps, out=mask)
+        scale.fill(1.0)
+        np.divide(eps, norm, out=scale, where=mask)
+        e *= scale
 
 
 def pgd_attack(
@@ -116,23 +154,28 @@ def pgd_perturb_batch(
     h: np.ndarray,
     x: np.ndarray,
     y: np.ndarray,
-    eps: float,
+    eps: float | np.ndarray,
     n_steps: int,
     step_scale: float = 2.5,
 ) -> np.ndarray:
-    """Training-mode PGD on a whole minibatch at once.
+    """Training-mode PGD on a whole minibatch at once, or on a stack of them.
 
     Columns of x (n x B) and y (m x B) are independent samples; each gets
     the single-run attack (start at zero, normalized steps, projection) and
     the final iterate is returned, which is what the adversarial training
     gradient consumes.  Matches pgd_attack with n_restarts = 1 up to
-    best-iterate tracking.
+    best-iterate tracking.  Leading axes of h (..., n, m), x and y stack
+    independent runs; eps is then one radius or an array of per-run radii
+    shaped to broadcast against (..., 1, 1), and each run's slice gets the
+    bits of its own call.
     """
     _check_budget(eps, n_steps, step_scale)
     e = np.zeros_like(y)
-    if eps == 0.0:
+    if not np.any(eps):
         return e
-    for _ in _pgd_iterates(h, h @ y - x, e, eps, n_steps, step_scale):
+    r0 = np.matmul(h, y)
+    r0 -= x
+    for _ in _pgd_iterates(h, r0, e, eps, n_steps, step_scale):
         pass
     if not np.all(np.isfinite(e)):
         raise AttackDivergenceError("batch attack produced non-finite perturbations")

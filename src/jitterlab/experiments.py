@@ -7,9 +7,10 @@ comment recording the SHA-256 hash of the canonical config string together
 with the full configuration, so artifacts are self-describing and re-runs
 are byte-identical.  The training drivers (equivalence, large-eps, sweep)
 draw their evaluation set first, then train and certify their independent
-runs over one forked worker per available CPU (`training._fork_map`); gap
-does the same with its eps grid, building and certifying each eps's
-estimators in a worker.  The CSV is the same for any worker count.
+runs over one forked worker per available CPU (`training._train_map`), each
+worker training its share in lockstep stacks; gap maps its eps grid the same
+way (`training._fork_map`), building and certifying each eps's estimators in
+a worker.  The CSV is the same for any worker count.
 
 Risk columns in figure-style CSVs are per-coordinate (total risk divided
 by n); the sweep matrix keeps raw totals since only argmin locations
@@ -43,8 +44,10 @@ from .model import (
     make_diagonal_operator,
     make_subspace,
 )
-from .risk import RiskReport, best_jitter_level_analytic, certify, standard_risk_closed_form
-from .training import TrainConfig, SweepResult, _fork_map, sweep_jitter_levels, train
+from .risk import (
+    RiskReport, _check_eval_samples, best_jitter_level_analytic, certify, standard_risk_closed_form,
+)
+from .training import TrainConfig, _fork_map, _train_map, sweep_jitter_levels
 
 COMMANDS = ("alpha-curve", "equivalence", "gap", "large-eps", "sweep")
 
@@ -250,6 +253,7 @@ def _risk_cells(report: RiskReport, k: int, n: int) -> str:
 def _build_setup(cfg: dict) -> tuple[SubspaceModel, ForwardOperator, NoiseModel]:
     if cfg["operator"] not in ("identity", "linear-decay", "geometric"):
         raise ConfigError(f"unknown operator {cfg['operator']!r}")
+    _check_eval_samples(cfg["eval_samples"])
     model = make_subspace(cfg["n"], cfg["d"], cfg["sigma_c"], cfg["seed"])
     op = make_diagonal_operator(cfg["n"], cfg["operator"], cfg.get("ratio"))
     noise = NoiseModel(m=cfg["m"], sigma_z=cfg["sigma_z"])
@@ -294,7 +298,8 @@ def cmd_equivalence(cfg: dict) -> str:
     One evaluation set is drawn before any training and every estimator is
     certified on it, and the closed-form optimal risk is emitted as a
     fourth method.  The 2k + 1 runs train and certify in parallel, one
-    forked worker per available CPU.  Risk columns are per-coordinate.
+    forked worker per available CPU, each training its share in lockstep
+    stacks.  Risk columns are per-coordinate.
     """
     if cfg["operator"] != "identity":
         raise ConfigError("equivalence runs the denoising setup: operator=identity")
@@ -303,8 +308,7 @@ def cmd_equivalence(cfg: dict) -> str:
     sigma_c, sigma_z, d = model.sigma_c, noise.sigma_z, model.d
     eps_grid = [float(eps) for eps in cfg["eps_grid"]]
 
-    # Standard first, then every adversarial run, then every jittering run,
-    # so that a strided split hands each worker the same mix of objectives.
+    # Standard first, then every adversarial run, then every jittering run.
     jobs = [(_train_config(cfg, "standard", _sub_seed(cfg["seed"], 1)), eps_grid)]
     jobs += [
         (_train_config(cfg, "adversarial", _sub_seed(cfg["seed"], 2 + 2 * j), eps=eps), eps)
@@ -316,8 +320,9 @@ def cmd_equivalence(cfg: dict) -> str:
         for j, eps in enumerate(eps_grid)
     ]
     x, y, _ = draw_sample_arrays(model, op, noise, cfg["eval_samples"], _sub_seed(cfg["seed"], 0))
-    reports = _fork_map(
-        lambda job: certify(train(model, op, noise, job[0]).estimator, x, y, job[1]), jobs
+    reports = _train_map(
+        model, op, noise, [config for config, _ in jobs],
+        lambda i, run: certify(run().estimator, x, y, jobs[i][1]),
     )
     std, adv, jit = reports[0], reports[1:len(eps_grid) + 1], reports[len(eps_grid) + 1:]
     rows = []
@@ -404,11 +409,11 @@ def cmd_large_eps(cfg: dict) -> str:
             model, op, noise, cfg["eval_samples"], _sub_seed(cfg["seed"], 100 + li)
         )
 
-        def train_and_certify(job: tuple[TrainConfig, float]) -> tuple[RiskReport, float]:
-            est = train(model, op, noise, job[0]).estimator
-            return certify(est, x, y, job[1]), est.frobenius_norm()
+        def certify_run(i: int, run) -> tuple[RiskReport, float]:
+            est = run().estimator
+            return certify(est, x, y, jobs[i][1]), est.frobenius_norm()
 
-        results = _fork_map(train_and_certify, jobs)
+        results = _train_map(model, op, noise, [config for config, _ in jobs], certify_run)
         for rel, (_, eps), (report, h_frob) in zip(cfg["eps_sq_rel_grid"], jobs, results):
             cells = _risk_cells(report, 0, model.n)
             rows.append(f"{_g(level)},{_g(eps)},{_g(rel)},{cells},{_g(h_frob)}\n")

@@ -213,6 +213,12 @@ def residuals(
     return estimator.apply(y) - x
 
 
+def _check_eval_samples(eval_samples: int) -> None:
+    """certify needs two samples; callers say so before any draw or training."""
+    if eval_samples < 2:
+        raise InvalidParameterError(f"need eval_samples >= 2, got {eval_samples}")
+
+
 def certify(
     estimator: LinearEstimator, x: np.ndarray, y: np.ndarray, eps_grid: np.ndarray
 ) -> RiskReport:

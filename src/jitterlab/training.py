@@ -13,34 +13,46 @@ overfitting).  Per-sample gradients of the squared error:
 Optimizers are implemented from scratch: plain SGD with momentum, and the
 adaptive (Adam-style) rule with bias-corrected first/second moments, which
 is the default at lr 1e-3.  Training starts from H = 0 and is
-deterministic given the config seed.  The loop works in place on buffers
-allocated once per run and applies a diagonal operator as a row scaling;
-both give the bits of the textbook loop.
+deterministic given the config seed.
+
+One loop trains a stack of K runs in lockstep: runs whose configs differ
+only in seed, eps and sigma_w share every numpy call, with H, the
+optimizer moments, the minibatch and the PGD iterates held as (K, ., .)
+arrays.  Each run draws its own rng_stream(seed, t) into its slice, and
+eps and sigma_w enter as per-run factors, so every run gets the bits of
+its own loop; `train` is the K = 1 case.  A run at eps = 0 or sigma_w = 0
+is the standard objective bit for bit and trains in the standard stack.
+The loop works in place on buffers allocated once per stack and applies a
+diagonal operator as a row scaling; both give the bits of the textbook
+loop.
 
 Runs with distinct seeds are independent, so the drivers spread them over
-forked workers with `_fork_map`; results do not depend on the worker count.
+forked workers with `_train_map`: each worker trains its share of the runs
+in stacks, then finishes (certifies) them in order.  Results do not
+depend on the worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .attack import pgd_perturb_batch
-from .errors import InvalidParameterError, TrainingDivergenceError
+from .errors import AttackDivergenceError, InvalidParameterError, TrainingDivergenceError
 from .estimators import LinearEstimator
 from .model import (
     ForwardOperator, NoiseModel, SubspaceModel, _check_triple, _sub_seed, draw_sample_arrays,
     rng_stream,
 )
-from .risk import RiskReport, certify
+from .risk import RiskReport, _check_eval_samples, certify
 
 _OBJECTIVES = ("standard", "adversarial", "jittering")
 _OPTIMIZERS = ("sgd", "adaptive")
 
-# True while this process runs a _fork_map share; forked workers inherit it.
+# True while this process runs a _map_shares share; forked workers inherit it.
 _mapping = False
 
 
@@ -50,56 +62,74 @@ def _run_share(fn, share: list) -> tuple[list, Exception | None]:
     for item in share:
         try:
             values.append(fn(item))
-        except Exception as exc:  # handed to _fork_map, which re-raises it
+        except Exception as exc:  # handed to _map_shares, which re-raises it
             return values, exc
     return values, None
 
 
-def _fork_worker(fn, share: list, conn) -> None:
-    conn.send(_run_share(fn, share))
+def _run_whole(run_share, items: list) -> list:
+    values, exc = run_share(items)
+    if exc is not None:
+        raise exc
+    return values
+
+
+def _fork_worker(run_share, share: list, conn) -> None:
+    conn.send(run_share(share))
     conn.close()
 
 
 def _fork_map(fn, items) -> list:
-    """[fn(item) for item in items], split over this process and forked children.
+    """[fn(item) for item in items], split over this process and forked children."""
+    items = list(items)
+    return _map_shares(lambda share: _run_share(lambda i: fn(items[i]), share), range(len(items)))
 
-    One process per CPU this process may run on, capped at the item count;
-    process k takes items k, k + P, k + 2P, ... .  Only results and
-    exceptions cross the pipes (pickled), so fn may be a closure over data
-    the caller prepared before the call.  The exception of the first
-    failing item in item order is raised, as the plain loop would raise it.
-    Runs the plain loop on one CPU, for one item, where the platform has no
-    CPU affinity or no fork start method, or when called from inside a share.
+
+def _map_shares(run_share, order) -> list:
+    """Results for items 0, ..., N - 1, in shares run by this process and forked children.
+
+    order lists the N item indices.  One process per CPU this process may
+    run on, capped at N; process k of P takes order[k::P], so items next to
+    each other in order go to different processes.  run_share(share) gets
+    a share's indices in ascending order and returns (values, exc): the
+    results for a prefix of share, and the exception that stopped it there,
+    or None.  Only results and exceptions cross the pipes (pickled), so
+    run_share may be a closure over data the caller prepared before the
+    call.  The exception of the first failing item in item order is
+    raised, as the plain loop would raise it.  Runs all items as one share
+    in this process on one CPU, for one item, where the platform has no CPU
+    affinity or no fork start method, or when called from inside a share.
     """
     global _mapping
-    items = list(items)
+    order = list(order)
     # sched_getaffinity is Linux-only; elsewhere (macOS forks unsafely once its
     # system frameworks run threads) the loop stays serial.
     affinity = getattr(os, "sched_getaffinity", lambda pid: {0})
-    procs = min(len(affinity(0)), len(items))
+    procs = min(len(affinity(0)), len(order))
     if procs < 2 or _mapping:
-        return [fn(item) for item in items]
+        return _run_whole(run_share, sorted(order))
     import multiprocessing  # lazily: only runs that fork pay for the import
 
     if "fork" not in multiprocessing.get_all_start_methods():
-        return [fn(item) for item in items]
-    # fork, not spawn: workers see fn's closure and its arrays copy-on-write,
-    # with no re-import and no pickled inputs.
+        return _run_whole(run_share, sorted(order))
+    # fork, not spawn: workers see run_share's closure and its arrays
+    # copy-on-write, with no re-import and no pickled inputs.
     ctx = multiprocessing.get_context("fork")
+    shares = [sorted(order[k::procs]) for k in range(procs)]
     workers = []
-    shares = []
+    done = []  # (values, exc) per share, this process's first
     _mapping = True
     try:
         for k in range(1, procs):
             recv, send = ctx.Pipe(duplex=False)
-            worker = ctx.Process(target=_fork_worker, args=(fn, items[k::procs], send))
+            worker = ctx.Process(target=_fork_worker, args=(run_share, shares[k], send))
             worker.start()
             send.close()
             workers.append((worker, recv))
-        shares.append(_run_share(fn, items[0::procs]))
+        done.append(run_share(shares[0]))
         for worker, recv in workers:
             try:
-                shares.append(recv.recv())
+                done.append(recv.recv())
             except EOFError:
                 worker.join()
                 raise ChildProcessError(
@@ -108,18 +138,19 @@ def _fork_map(fn, items) -> list:
     finally:
         _mapping = False
         for worker, recv in workers:
-            if len(shares) < procs:
+            if len(done) < procs:
                 worker.terminate()  # the map is failing: stop workers still running
             worker.join()
             recv.close()
     failures = [
-        (k + len(values) * procs, exc) for k, (values, exc) in enumerate(shares) if exc is not None
+        (share[len(values)], exc) for share, (values, exc) in zip(shares, done) if exc is not None
     ]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
-    results = [None] * len(items)
-    for k, (values, _) in enumerate(shares):
-        results[k::procs] = values
+    results = [None] * len(order)
+    for share, (values, _) in zip(shares, done):
+        for i, value in zip(share, values):
+            results[i] = value
     return results
 
 
@@ -181,6 +212,167 @@ class TrainTrace:
     estimator: LinearEstimator
 
 
+def _stack_key(config: TrainConfig) -> TrainConfig:
+    """What the runs of one lockstep stack share: every field but seed, eps and sigma_w.
+
+    A run at eps = 0 (adversarial) or sigma_w = 0 (jittering) is the
+    standard objective bit for bit, since yt = y + 0, so it keys as standard.
+    """
+    objective = config.objective
+    if (objective, config.eps) == ("adversarial", 0.0) or (
+        (objective, config.sigma_w) == ("jittering", 0.0)
+    ):
+        objective = "standard"
+    return replace(config, objective=objective, seed=0, eps=0.0, sigma_w=0.0)
+
+
+def _train_stack(
+    model: SubspaceModel,
+    op: ForwardOperator,
+    noise: NoiseModel,
+    configs: list[TrainConfig],
+) -> list[TrainTrace | Exception]:
+    """Train runs with one _stack_key in lockstep: one outcome per config, in order.
+
+    An outcome is the run's TrainTrace, or the exception that stopped it:
+    TrainingDivergenceError at a non-finite loss, or AttackDivergenceError.
+    When runs stop, the others train again without them, so each run's
+    outcome is that of its own loop.
+    """
+    _check_triple(model, op, noise)
+    config = _stack_key(configs[0])
+    if any(_stack_key(other) != config for other in configs):
+        raise InvalidParameterError("stacked runs may differ only in seed, eps and sigma_w")
+    n, m, d = model.n, noise.m, model.d
+    k, batch = len(configs), config.batch_size
+    basis = model.basis
+    a_mat = op.matrix
+    a_diag = np.diagonal(a_mat)
+    row_scale = a_diag[:, None] if np.array_equal(a_mat, np.diag(a_diag)) else None
+    c_scale = model.sigma_c / np.sqrt(d)
+    z_scale = noise.per_coordinate_std
+    objective = config.objective
+    attack = (config.attack_steps, config.attack_step_scale)
+    sgd = config.optimizer == "sgd"
+    eps = np.array([run.eps for run in configs])[:, None, None]
+    sigma_w = np.array([run.sigma_w for run in configs])[:, None, None]
+
+    # One draw per run and iteration fills c, z (and w) in the order of
+    # separate (d, B), (m, B), (m, B) draws, so the stream is the same.
+    draw = np.empty((k, d + m + (m if objective == "jittering" else 0), batch))
+    c, z, w = draw[:, :d], draw[:, d:d + m], draw[:, d + m:]
+    x, y = np.empty((k, n, batch)), np.empty((k, m, batch))
+    resid, sq = np.empty_like(x), np.empty_like(x)
+    # H, then the SGD velocity or the two adaptive moments, one slice per run.
+    h, *moments = np.zeros((2 if sgd else 3, k, n, m))
+    grad, step = np.empty_like(h), np.empty_like(h)
+
+    ema = None
+    its: list[int] = []
+    losses: list[list[float]] = [[] for _ in configs]
+    stopped: dict[int, Exception] = {}  # stack position -> exception
+    for t in range(config.n_iterations):
+        for p, run in enumerate(configs):
+            rng_stream(run.seed, t).standard_normal(out=draw[p])
+        c *= c_scale
+        z *= z_scale
+        np.matmul(basis, c, out=x)
+        if row_scale is None:
+            np.matmul(a_mat, x, out=y)
+        else:
+            # The zero off-diagonal terms add nothing to the matmul's sums.
+            np.multiply(row_scale, x, out=y)
+        y += z
+
+        if objective == "jittering":
+            w *= sigma_w
+            w += y
+            yt = w
+        elif objective == "adversarial":
+            try:
+                yt = pgd_perturb_batch(h, x, y, eps, *attack)
+            except AttackDivergenceError:
+                # The failure belongs to the runs whose own attack fails.
+                for p in range(k):
+                    alone = slice(p, p + 1)
+                    try:
+                        pgd_perturb_batch(h[alone], x[alone], y[alone], eps[alone], *attack)
+                    except AttackDivergenceError as exc:
+                        stopped[p] = exc
+                if not stopped:
+                    raise
+                break
+            yt += y
+        else:
+            yt = y
+
+        np.matmul(h, yt, out=resid)
+        resid -= x
+        with np.errstate(over="ignore"):  # overflow IS the divergence signal
+            np.multiply(resid, resid, out=sq)
+            loss = sq.reshape(k, -1).sum(axis=1) / batch
+        finite = np.isfinite(loss)
+        if not finite.all():
+            for p in np.flatnonzero(~finite):
+                exc = TrainingDivergenceError(f"non-finite loss at iteration {t}")
+                exc.trace = TrainTrace(
+                    iterations=np.array(its), losses=np.array(losses[p]),
+                    estimator=LinearEstimator.from_matrix(np.nan_to_num(h[p])),
+                )
+                stopped[int(p)] = exc
+            break
+        ema = loss if ema is None else 0.99 * ema + 0.01 * loss
+        if t % config.record_every == 0 or t == config.n_iterations - 1:
+            its.append(t)
+            for history, value in zip(losses, ema.tolist()):
+                history.append(value)
+
+        np.matmul(resid, np.swapaxes(yt, -1, -2), out=grad)
+        grad *= 2.0 / batch
+        if sgd:
+            (vel,) = moments
+            vel *= config.momentum
+            grad *= config.lr
+            vel -= grad
+            h += vel
+        else:
+            mom1, mom2 = moments
+            mom1 *= config.beta1
+            np.multiply(1.0 - config.beta1, grad, out=step)
+            mom1 += step
+            mom2 *= config.beta2
+            np.multiply(grad, grad, out=step)
+            step *= 1.0 - config.beta2
+            mom2 += step
+            np.divide(mom1, 1.0 - config.beta1 ** (t + 1), out=step)
+            step *= config.lr
+            denom = grad  # the gradient is spent: its buffer takes the denominator
+            np.divide(mom2, 1.0 - config.beta2 ** (t + 1), out=denom)
+            np.sqrt(denom, out=denom)
+            denom += config.eps_hat
+            step /= denom
+            h -= step
+
+    if not stopped:
+        return [
+            TrainTrace(
+                iterations=np.array(its), losses=np.array(losses[p]),
+                estimator=LinearEstimator.from_matrix(h[p]),
+            )
+            for p in range(k)
+        ]
+    others = [run for p, run in enumerate(configs) if p not in stopped]
+    rest = iter(_train_stack(model, op, noise, others) if others else [])
+    return [stopped[p] if p in stopped else next(rest) for p in range(k)]
+
+
+def _outcome(run: TrainTrace | Exception) -> TrainTrace:
+    """The trace of a run, or its exception raised."""
+    if isinstance(run, Exception):
+        raise run
+    return run
+
+
 def train(
     model: SubspaceModel,
     op: ForwardOperator,
@@ -194,101 +386,72 @@ def train(
     objective.  Divergence (non-finite loss) raises with the trace prefix
     attached to the exception as `.trace`.
     """
-    _check_triple(model, op, noise)
-    n, m, d = model.n, noise.m, model.d
-    batch = config.batch_size
-    basis = model.basis
-    a_mat = op.matrix
-    a_diag = np.diagonal(a_mat)
-    row_scale = a_diag[:, None] if np.array_equal(a_mat, np.diag(a_diag)) else None
-    c_scale = model.sigma_c / np.sqrt(d)
-    z_scale = noise.per_coordinate_std
-    jittering = config.objective == "jittering"
+    (run,) = _train_stack(model, op, noise, [config])
+    return _outcome(run)
 
-    # One draw per iteration fills c, z (and w) in the order of separate
-    # (d, B), (m, B), (m, B) draws, so the stream is the same.
-    draw = np.empty((d + m + (m if jittering else 0), batch))
-    c, z, w = draw[:d], draw[d:d + m], draw[d + m:]
-    x, y = np.empty((n, batch)), np.empty((m, batch))
-    resid, sq = np.empty((n, batch)), np.empty((n, batch))
-    h = np.zeros((n, m))
-    grad, step, denom = np.empty_like(h), np.empty_like(h), np.empty_like(h)
-    vel = np.zeros_like(h)
-    mom1 = np.zeros_like(h)
-    mom2 = np.zeros_like(h)
 
-    ema = None
-    its: list[int] = []
-    losses: list[float] = []
-    for t in range(config.n_iterations):
-        rng_stream(config.seed, t).standard_normal(out=draw)
-        c *= c_scale
-        z *= z_scale
-        np.matmul(basis, c, out=x)
-        if row_scale is None:
-            np.matmul(a_mat, x, out=y)
-        else:
-            # The zero off-diagonal terms add nothing to the matmul's sums.
-            np.multiply(row_scale, x, out=y)
-        y += z
+# Most runs one lockstep stack trains.  A stack shares numpy's per-call
+# overhead among its K runs, while its working set grows with K: an adaptive
+# run at n = m = 100 keeps five n x m arrays (400 kB), so four runs about
+# fill a 2 MB L2 cache.  At those sizes on one such core, the time per run
+# and iteration fell by 5-19% from K = 1 to K = 4 and by less than 7% more,
+# or rose, at K = 6 and 8.
+_MAX_STACK = 4
 
-        if jittering:
-            w *= config.sigma_w
-            w += y
-            yt = w
-        elif config.objective == "adversarial":
-            yt = pgd_perturb_batch(
-                h, x, y, config.eps, config.attack_steps, config.attack_step_scale
-            )
-            yt += y
-        else:
-            yt = y
 
-        np.matmul(h, yt, out=resid)
-        resid -= x
-        with np.errstate(over="ignore"):  # overflow IS the divergence signal
-            np.multiply(resid, resid, out=sq)
-            loss = float(sq.sum() / batch)
-        if not np.isfinite(loss):
-            exc = TrainingDivergenceError(f"non-finite loss at iteration {t}")
-            exc.trace = TrainTrace(
-                iterations=np.array(its), losses=np.array(losses),
-                estimator=LinearEstimator.from_matrix(np.nan_to_num(h)),
-            )
-            raise exc
-        ema = loss if ema is None else 0.99 * ema + 0.01 * loss
-        if t % config.record_every == 0 or t == config.n_iterations - 1:
-            its.append(t)
-            losses.append(ema)
+def _train_runs(
+    model: SubspaceModel,
+    op: ForwardOperator,
+    noise: NoiseModel,
+    configs: list[TrainConfig],
+) -> list[TrainTrace | Exception]:
+    """One outcome per config, in order, as _train_stack gives them.
 
-        np.matmul(resid, yt.T, out=grad)
-        grad *= 2.0 / batch
-        if config.optimizer == "sgd":
-            vel *= config.momentum
-            grad *= config.lr
-            vel -= grad
-            h += vel
-        else:
-            mom1 *= config.beta1
-            np.multiply(1.0 - config.beta1, grad, out=step)
-            mom1 += step
-            mom2 *= config.beta2
-            np.multiply(grad, grad, out=step)
-            step *= 1.0 - config.beta2
-            mom2 += step
-            np.divide(mom1, 1.0 - config.beta1 ** (t + 1), out=step)
-            step *= config.lr
-            np.divide(mom2, 1.0 - config.beta2 ** (t + 1), out=denom)
-            np.sqrt(denom, out=denom)
-            denom += config.eps_hat
-            step /= denom
-            h -= step
+    Configs with one _stack_key train together, split into the fewest
+    stacks of at most _MAX_STACK runs, of nearly equal size.
+    """
+    groups: dict[TrainConfig, list[int]] = {}
+    for i, config in enumerate(configs):
+        groups.setdefault(_stack_key(config), []).append(i)
+    outcomes: list = [None] * len(configs)
+    for members in groups.values():
+        n_stacks = -(-len(members) // _MAX_STACK)
+        for j in range(n_stacks):
+            stack = members[j::n_stacks]
+            for i, run in zip(stack, _train_stack(model, op, noise, [configs[i] for i in stack])):
+                outcomes[i] = run
+    return outcomes
 
-    return TrainTrace(
-        iterations=np.array(its),
-        losses=np.array(losses),
-        estimator=LinearEstimator.from_matrix(h),
-    )
+
+def _train_map(
+    model: SubspaceModel,
+    op: ForwardOperator,
+    noise: NoiseModel,
+    configs: list[TrainConfig],
+    finish,
+) -> list:
+    """[finish(i, run) for each config i], over this process and forked children.
+
+    run() returns the TrainTrace of train(model, op, noise, configs[i]) or
+    raises its exception, inside finish, which may annotate it.  The
+    configs of each stack key are dealt round-robin over the processes,
+    the deal going on from one key to the next, so every process gets a
+    like share of each kind of run.  Each process trains its share with
+    _train_runs, then finishes it in item order; the first failing item in
+    item order raises, as the plain loop would (see _map_shares).
+    """
+
+    def run_share(share: list) -> tuple[list, Exception | None]:
+        try:
+            runs = _train_runs(model, op, noise, [configs[i] for i in share])
+        except Exception as exc:  # not one run's own failure: charged to the share's first item
+            return [], exc
+        return _run_share(
+            lambda item: finish(item[0], functools.partial(_outcome, item[1])), zip(share, runs)
+        )
+
+    keys = [_stack_key(config) for config in configs]
+    return _map_shares(run_share, sorted(range(len(configs)), key=lambda i: keys.index(keys[i])))
 
 
 @dataclass(frozen=True)
@@ -322,12 +485,15 @@ def sweep_jitter_levels(
     Monte-Carlo noise.  Training seeds derive from `seed` per grid point;
     `base_config` carries every non-objective knob.  The grid points
     train and certify in parallel, one forked worker per available CPU
-    (`_fork_map`); the result does not depend on the worker count.
+    training its share in lockstep stacks (`_train_map`); the result does
+    not depend on the worker count.  eval_samples < 2 is rejected before
+    any draw or training.
     """
     eps_grid = np.atleast_1d(np.asarray(eps_grid, dtype=float))
     sigma_w_grid = np.atleast_1d(np.asarray(sigma_w_grid, dtype=float))
     if eps_grid.size == 0 or sigma_w_grid.size == 0:
         raise InvalidParameterError("grids must be non-empty")
+    _check_eval_samples(eval_samples)
     base = base_config if base_config is not None else TrainConfig()
     configs = [
         replace(base, objective="jittering", sigma_w=float(sw), seed=_sub_seed(seed, i))
@@ -335,16 +501,16 @@ def sweep_jitter_levels(
     ]
     x, y, _ = draw_sample_arrays(model, op, noise, eval_samples, _sub_seed(seed, 10**6))
 
-    def train_and_certify(i: int) -> RiskReport:
+    def certify_row(i: int, run) -> RiskReport:
         try:
-            return certify(train(model, op, noise, configs[i]).estimator, x, y, eps_grid)
+            return certify(run().estimator, x, y, eps_grid)
         except Exception as exc:
             # Annotate with the grid coordinate, keeping the exception type.
             detail = f"sweep grid point sigma_w={sigma_w_grid[i]} (row {i})"
             exc.args = tuple(list(exc.args) + [detail]) if exc.args else (detail,)
             raise
 
-    reports = _fork_map(train_and_certify, range(sigma_w_grid.size))
+    reports = _train_map(model, op, noise, configs, certify_row)
     risks = np.array([report.values for report in reports])
     ci_low = np.array([report.ci_low for report in reports])
     ci_high = np.array([report.ci_high for report in reports])

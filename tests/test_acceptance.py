@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import jitterlab as jl
-from jitterlab.training import _fork_map
+from jitterlab.training import _train_map
 
 D, N_AMBIENT = 50, 100
 
@@ -98,8 +98,8 @@ def test_criterion_4_trained_risks_match_closed_form():
     noise = jl.NoiseModel(m=N_AMBIENT, sigma_z=sigma_z)
     eps_grid = np.linspace(0.0, 0.7, 8)
     n_eval = 200
-    # The 16 independent runs go through _fork_map, all adversarial runs
-    # first, so that its strided split gives every worker the same mix.
+    # The 16 independent runs go through _train_map: each worker trains its
+    # share of them in lockstep stacks.
     configs = [
         jl.TrainConfig(objective="adversarial", eps=float(eps), lr=1e-4, n_iterations=30000,
                        seed=100 + j)
@@ -112,7 +112,7 @@ def test_criterion_4_trained_risks_match_closed_form():
         )
         for j, eps in enumerate(eps_grid)
     ]
-    trained = _fork_map(lambda config: jl.train(model, op, noise, config).estimator, configs)
+    trained = _train_map(model, op, noise, configs, lambda i, run: run().estimator)
     all_ok = True
     lines = []
     for j, eps in enumerate(eps_grid):

@@ -159,6 +159,15 @@ def test_perturb_batch_bit_identical_to_reference_loop(n_steps):
     for eps in (0.05, 0.6, 3.0):
         e = pgd_perturb_batch(h, x, y, eps, n_steps)
         assert np.array_equal(e, _reference_perturb_batch(h, x, y, eps, n_steps))
+    # A stack of runs, each with its own H, minibatch and radius (one of them
+    # zero), gets the bits of each run's own loop.
+    runs = [
+        (h * s, x + s, y - s, eps) for s, eps in ((1.0, 0.05), (0.5, 0.6), (2.0, 0.0), (1.5, 3.0))
+    ]
+    hs, xs, ys, radii = (np.stack(part) for part in zip(*runs))
+    e = pgd_perturb_batch(hs, xs, ys, radii[:, None, None], n_steps)
+    for k, (hk, xk, yk, eps) in enumerate(runs):
+        assert np.array_equal(e[k], _reference_perturb_batch(hk, xk, yk, eps, n_steps))
 
 
 def test_perturb_batch_rejects_nan_eps():

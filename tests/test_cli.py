@@ -103,11 +103,18 @@ def test_bad_list_fails_with_json_error_and_writes_nothing(tmp_path, capsys, arg
     (["gap", "--seed", "-1"], "ConfigError"),
     (["gap", "--sigma-c", "0"], "InvalidParameterError"),
     (["large-eps", "--sigma-c", "0"], "InvalidParameterError"),
-], ids=["negative-seed", "zero-sigma-c", "large-eps-zero-sigma-c"])
+    (["equivalence", "--eval-samples", "1"], "InvalidParameterError"),
+    (["large-eps", "--eval-samples", "1"], "InvalidParameterError"),
+    (["sweep", "--eval-samples", "0"], "InvalidParameterError"),
+    (["gap", "--eval-samples", "1"], "InvalidParameterError"),
+], ids=["negative-seed", "zero-sigma-c", "large-eps-zero-sigma-c", "equivalence-one-sample",
+        "large-eps-one-sample", "sweep-no-sample", "gap-one-sample"])
 def test_bad_value_fails_with_one_json_line_and_writes_nothing(tmp_path, capfd, args, error):
-    # capfd, not capsys: gap's forked workers write to the file descriptor
+    # capfd, not capsys: gap's forked workers write to the file descriptor.
+    # The case's flag comes last, so that it overrides the small sizes.
     out = tmp_path / "x.csv"
-    assert main(args + ["--n", "8", "--d", "2", "--eval-samples", "10", "--out", str(out)]) == 1
+    small = ["--n", "8", "--d", "2", "--eval-samples", "10", "--n-iterations", "5"]
+    assert main(args[:1] + small + args[1:] + ["--out", str(out)]) == 1
     lines = capfd.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     payload = json.loads(lines[0])
@@ -206,9 +213,10 @@ def test_drivers_draw_the_evaluation_set_once(monkeypatch, command):
 @pytest.mark.parametrize("command", ["equivalence", "gap", "large-eps", "sweep"])
 def test_drivers_write_the_same_bytes_on_one_or_two_cpus(tmp_path, monkeypatch, command):
     # The drivers fork one worker per available CPU; the output must not
-    # depend on how many there are.  Default grids, tiny sizes and budgets.
+    # depend on how many there are.  Three workers get stacks of unequal
+    # sizes.  Default grids, tiny sizes and budgets.
     outputs = {}
-    for cpus in ({0}, {0, 1}):
+    for cpus in ({0}, {0, 1}, {0, 1, 2}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
         out = tmp_path / f"{len(cpus)}.csv"
         assert main([
@@ -219,7 +227,7 @@ def test_drivers_write_the_same_bytes_on_one_or_two_cpus(tmp_path, monkeypatch, 
             (path.name.replace(f"{len(cpus)}", "k"), path.read_bytes())
             for path in tmp_path.glob(f"{len(cpus)}*.csv")
         )
-    assert outputs[1] == outputs[2]
+    assert outputs[1] == outputs[2] == outputs[3]
     assert len(outputs[1]) == (2 if command == "sweep" else 1)
 
 

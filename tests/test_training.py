@@ -1,11 +1,12 @@
 import multiprocessing
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from jitterlab.attack import pgd_perturb_batch
-from jitterlab.errors import InvalidParameterError, TrainingDivergenceError
+from jitterlab.errors import AttackDivergenceError, InvalidParameterError, TrainingDivergenceError
 from jitterlab.estimators import (
     jitter_level_for_eps,
     jittering_denoiser_alpha,
@@ -14,7 +15,8 @@ from jitterlab.estimators import (
 from jitterlab.estimators import LinearEstimator
 from jitterlab.model import NoiseModel, make_diagonal_operator, make_subspace, rng_stream
 from jitterlab.training import (
-    TrainConfig, TrainTrace, _fork_map, sweep_jitter_levels, train,
+    _MAX_STACK, TrainConfig, TrainTrace, _fork_map, _train_map, _train_runs, _train_stack,
+    sweep_jitter_levels, train,
 )
 
 
@@ -177,6 +179,7 @@ def _reference_train(model, op, noise, config):
 @pytest.mark.parametrize("optimizer", ["adaptive", "sgd"])
 @pytest.mark.parametrize("objective", ["standard", "adversarial", "jittering"])
 def test_train_bit_identical_to_reference_loop(spectrum, optimizer, objective):
+    # Alone and as one run of a lockstep stack, each run gets the textbook bits.
     model, op, noise = _setup(n=12, d=4, spectrum=spectrum)
     cfg = TrainConfig(
         objective=objective, eps=0.3, sigma_w=0.2, optimizer=optimizer,
@@ -185,6 +188,111 @@ def test_train_bit_identical_to_reference_loop(spectrum, optimizer, objective):
     )
     h = train(model, op, noise, cfg).estimator.matrix
     assert np.array_equal(h, _reference_train(model, op, noise, cfg))
+    stack = [cfg] + [
+        replace(cfg, seed=seed, eps=eps, sigma_w=sw)
+        for seed, eps, sw in ((7, 0.1, 0.05), (8, 0.6, 0.4))
+    ]
+    for config, run in zip(stack, _train_stack(model, op, noise, stack)):
+        alone = train(model, op, noise, config)
+        assert np.array_equal(run.estimator.matrix, _reference_train(model, op, noise, config))
+        assert np.array_equal(run.iterations, alone.iterations)
+        assert np.array_equal(run.losses, alone.losses)
+
+
+def test_train_runs_returns_a_mixed_list_in_input_order():
+    # Runs at eps = 0 or sigma_w = 0 join the standard stack; the adversarial
+    # group is more than one stack; the sgd run stacks alone.
+    model, op, noise = _setup(n=10, d=3)
+    base = TrainConfig(n_iterations=30, batch_size=6, record_every=7)
+    configs = [
+        replace(base, objective="jittering", sigma_w=0.3, seed=1),
+        replace(base, objective="adversarial", eps=0.0, seed=2),
+        replace(base, objective="standard", optimizer="sgd", lr=0.01, seed=3),
+        replace(base, objective="jittering", sigma_w=0.0, seed=4),
+        replace(base, objective="standard", seed=5),
+    ] + [
+        replace(base, objective="adversarial", eps=0.1 * (j + 1), seed=10 + j)
+        for j in range(_MAX_STACK + 1)
+    ]
+    runs = _train_runs(model, op, noise, configs)
+    assert len(runs) == len(configs)
+    for config, run in zip(configs, runs):
+        alone = train(model, op, noise, config)
+        assert np.array_equal(run.estimator.matrix, alone.estimator.matrix)
+        assert np.array_equal(run.losses, alone.losses)
+
+
+def _diverging(objective="jittering"):
+    if objective == "jittering":
+        # At lr 0.05, plain SGD is stable at jitter level 0.1 and diverges at 10.
+        base = TrainConfig(objective="jittering", optimizer="sgd", lr=0.05, n_iterations=300,
+                           record_every=10)
+        return [replace(base, sigma_w=sw, seed=seed) for seed, sw in enumerate((0.1, 10.0, 0.2))]
+    # At lr 100 every run diverges, two of them first inside the attack.
+    base = TrainConfig(objective="adversarial", optimizer="sgd", lr=100.0, momentum=0.9,
+                       n_iterations=400, record_every=10)
+    return [replace(base, eps=eps, seed=seed) for seed, eps in enumerate((0.1, 1.0, 0.3, 3.0))]
+
+
+@pytest.mark.parametrize("objective", ["jittering", "adversarial"])
+def test_diverging_stack_member_stops_alone(objective):
+    # Each run of a stack ends as its own loop ends: the same trace, or the
+    # same exception with the same partial trace.
+    model, op, noise = _setup()
+    configs = _diverging(objective)
+    with np.errstate(all="ignore"):  # the diverging runs overflow on purpose
+        runs = _train_stack(model, op, noise, configs)
+        alone = []
+        for config in configs:
+            try:
+                alone.append(train(model, op, noise, config))
+            except (TrainingDivergenceError, AttackDivergenceError) as exc:
+                alone.append(exc)
+    kinds = [type(run) for run in alone]
+    assert TrainingDivergenceError in kinds
+    assert (AttackDivergenceError if objective == "adversarial" else TrainTrace) in kinds
+    for run, own in zip(runs, alone):
+        assert type(run) is type(own)
+        if isinstance(own, Exception):
+            assert str(run) == str(own)
+            own, run = getattr(own, "trace", None), getattr(run, "trace", None)
+            if own is None:
+                assert run is None
+                continue
+            assert len(own.iterations) > 1
+        assert np.array_equal(run.iterations, own.iterations)
+        assert np.array_equal(run.losses, own.losses)
+        assert np.array_equal(run.estimator.matrix, own.estimator.matrix)
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+def test_train_map_raises_the_first_failing_run(monkeypatch, cpus):
+    # Runs 1 and 3 diverge.  Whether the runs stack in one process or two,
+    # the first failure in item order is raised, as the plain loop would
+    # raise it: run 1's divergence with its partial trace when finish fails
+    # at item 2, and finish's error when it fails at item 0.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    model, op, noise = _setup()
+    configs = _diverging()
+    configs.append(replace(configs[1], seed=9))
+
+    def finish_failing_at(k):
+        def finish(i, run):
+            trace = run()
+            if i == k:
+                raise ValueError(f"item {i}")
+            return trace.estimator.matrix
+        return finish
+
+    with pytest.raises(TrainingDivergenceError) as info:
+        _train_map(model, op, noise, configs, finish_failing_at(2))
+    with pytest.raises(TrainingDivergenceError) as alone:
+        train(model, op, noise, configs[1])
+    assert str(info.value) == str(alone.value)
+    assert np.array_equal(info.value.trace.losses, alone.value.trace.losses)
+    with pytest.raises(ValueError, match="item 0"):
+        _train_map(model, op, noise, configs, finish_failing_at(0))
+    assert multiprocessing.active_children() == []
 
 
 def _pid_of(item):
