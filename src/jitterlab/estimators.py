@@ -14,7 +14,8 @@ The families implemented:
     that robust denoiser exactly;
   * the jittering-risk minimizer for a general forward operator;
   * the conjectured robust-risk minimizer for a general forward operator,
-    obtained from a one-dimensional dual problem in lambda;
+    obtained from a one-dimensional dual problem in lambda; it minimizes a
+    high-dimensional upper bound on the robust risk, not the risk itself;
   * the ridge (weight-decay) estimator, computed by dense normal equations
     as an independent cross-check of the jittering formula.
 """
@@ -339,7 +340,9 @@ def conjectured_robust_estimator(
 ) -> tuple[LinearEstimator, ShrinkageProfile]:
     """Conjectured worst-case-optimal estimator for a general forward operator.
 
-    Solves min over lam >= 0 of
+    It minimizes the high-dimensional upper bound on the robust risk, the
+    dual with the expectation taken inside, min_lam E[...] >= E min_lam [...]
+    (Jensen), which is exact only as d -> infinity.  Solves min over lam >= 0 of
       F(lam) = lam eps^2 + sum_i [ (1 - lam lam_i^2)/2 * sigma_c^2/d
                - lam/2 * sigma_z^2/m
                + sqrt( ((1 + lam lam_i^2)/2 * sigma_c^2/d + lam/2 * sigma_z^2/m)^2

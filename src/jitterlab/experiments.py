@@ -6,11 +6,14 @@ CSV atomically (temp file + rename).  The first line of every CSV is a
 comment recording the SHA-256 hash of the canonical config string together
 with the full configuration, so artifacts are self-describing and re-runs
 are byte-identical.  The training drivers (equivalence, large-eps, sweep)
-draw their evaluation set first, then train and certify their independent
-runs over one forked worker per available CPU (`training._train_map`), each
-worker training its share in lockstep stacks; gap maps its eps grid the same
-way (`training._fork_map`), building and certifying each eps's estimators in
-a worker.  The CSV is the same for any worker count.
+train and certify their independent runs over one forked worker per
+available CPU (`training._train_map`), each worker training its share in
+lockstep stacks.  equivalence and sweep draw their evaluation set before
+the map; large-eps maps the runs of all its noise levels at once, and each
+process draws a level's set when it first certifies a run of that level.
+gap maps its eps grid the same way (`training._fork_map`), building and
+certifying each eps's estimators in a worker.  The CSV is the same for any
+worker count.
 
 Risk columns in figure-style CSVs are per-coordinate (total risk divided
 by n); the sweep matrix keeps raw totals since only argmin locations
@@ -321,7 +324,7 @@ def cmd_equivalence(cfg: dict) -> str:
     ]
     x, y, _ = draw_sample_arrays(model, op, noise, cfg["eval_samples"], _sub_seed(cfg["seed"], 0))
     reports = _train_map(
-        model, op, noise, [config for config, _ in jobs],
+        model, op, [noise] * len(jobs), [config for config, _ in jobs],
         lambda i, run: certify(run().estimator, x, y, jobs[i][1]),
     )
     std, adv, jit = reports[0], reports[1:len(eps_grid) + 1], reports[len(eps_grid) + 1:]
@@ -383,41 +386,51 @@ def cmd_gap(cfg: dict) -> str:
 def cmd_large_eps(cfg: dict) -> str:
     """Adversarially trained denoisers across the eps^2 ~ sigma_c^2 transition.
 
-    noise_levels are sigma_z/sqrt(n) values.  Each level draws one
-    evaluation set, then trains its estimators and certifies each on it,
-    in parallel, one forked worker per available CPU.  Emits per-coordinate
-    risk and the trained Frobenius norm; past the transition the estimator
-    collapses toward zero and the risk plateaus at sigma_c^2/n per
-    coordinate.
+    noise_levels are sigma_z/sqrt(n) values.  The model and operator are
+    built once; every (level, eps) run trains under its level's noise
+    model, all of them in one map over one forked worker per available CPU,
+    so each worker gets a like share of every level.  Each level has one
+    evaluation set, which a process draws when it first certifies a run of
+    that level, dropping the set of the level before: processes finish
+    their runs in item order, level by level, so each holds one set at a
+    time and draws each at most once.  Emits per-coordinate risk and the
+    trained Frobenius norm; past the transition the estimator collapses
+    toward zero and the risk plateaus at sigma_c^2/n per coordinate.
     """
     if cfg["operator"] != "identity":
         raise ConfigError("large-eps runs the denoising setup: operator=identity")
     sigma_c = cfg["sigma_c"]
     if not sigma_c > 0:  # eps = sqrt(eps_sq_rel) * sigma_c would all be 0
         raise InvalidParameterError(f"need sigma_c > 0, got {sigma_c}")
-    rows = []
-    for li, level in enumerate(cfg["noise_levels"]):
-        level_cfg = dict(cfg)
-        level_cfg["sigma_z"] = float(level * np.sqrt(cfg["n"]))
-        model, op, noise = _build_setup(level_cfg)
-        jobs = []
+    model, op, _ = _build_setup(dict(cfg, sigma_z=0.0))  # each level sets its own sigma_z
+    levels = cfg["noise_levels"]
+    noises = [NoiseModel(m=cfg["m"], sigma_z=float(level * np.sqrt(cfg["n"]))) for level in levels]
+    jobs = []  # (level index, eps_sq_rel, eps, config), level by level
+    for li in range(len(levels)):
         for j, rel in enumerate(cfg["eps_sq_rel_grid"]):
             eps = float(np.sqrt(rel) * sigma_c)
             seed = _sub_seed(cfg["seed"], 200 + 10 * li + j)
-            jobs.append((_train_config(cfg, "adversarial", seed, eps=eps), eps))
-        x, y, _ = draw_sample_arrays(
-            model, op, noise, cfg["eval_samples"], _sub_seed(cfg["seed"], 100 + li)
-        )
+            jobs.append((li, rel, eps, _train_config(cfg, "adversarial", seed, eps=eps)))
+    held: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # this process's one evaluation set
 
-        def certify_run(i: int, run) -> tuple[RiskReport, float]:
-            est = run().estimator
-            return certify(est, x, y, jobs[i][1]), est.frobenius_norm()
+    def certify_run(i: int, run) -> tuple[RiskReport, float]:
+        li, _, eps, _ = jobs[i]
+        est = run().estimator
+        if li not in held:
+            held.clear()  # free the last level's set before this level draws
+            x, y, _ = draw_sample_arrays(
+                model, op, noises[li], cfg["eval_samples"], _sub_seed(cfg["seed"], 100 + li)
+            )
+            held[li] = (x, y)
+        return certify(est, *held[li], eps), est.frobenius_norm()
 
-        results = _train_map(model, op, noise, [config for config, _ in jobs], certify_run)
-        for rel, (_, eps), (report, h_frob) in zip(cfg["eps_sq_rel_grid"], jobs, results):
-            cells = _risk_cells(report, 0, model.n)
-            rows.append(f"{_g(level)},{_g(eps)},{_g(rel)},{cells},{_g(h_frob)}\n")
-        del x, y  # free this level's evaluation set before the next level draws
+    results = _train_map(
+        model, op, [noises[li] for li, *_ in jobs], [config for *_, config in jobs], certify_run
+    )
+    rows = []
+    for (li, rel, eps, _), (report, h_frob) in zip(jobs, results):
+        cells = _risk_cells(report, 0, model.n)
+        rows.append(f"{_g(levels[li])},{_g(eps)},{_g(rel)},{cells},{_g(h_frob)}\n")
     columns = "noise_level,eps,eps_sq_rel,risk,ci_low,ci_high,h_frob"
     return _emit("large-eps", cfg, columns, rows, cfg["out"])
 

@@ -27,8 +27,9 @@ residual is formed and each block's Newton loop stops at its own slowest
 column.  robust_risk_exact is a seeded draw plus certify.
 
 best_jitter_level_analytic finds the jitter level whose jittering-optimal
-estimator has the least analytic mode-form risk, as the root of that
-risk's derivative in sigma_w^2 (estimators._increasing_root, the root
+estimator has the least analytic mode-form risk, a high-dimensional upper
+bound on the robust risk (robust_risk_mode_form), as the root of that
+bound's derivative in sigma_w^2 (estimators._increasing_root, the root
 finder the conjectured estimator's dual uses too).
 """
 
@@ -336,19 +337,21 @@ def robust_risk_mode_form(
     m: int,
     eps: float,
 ) -> tuple[float, float]:
-    """Analytic robust risk of a subspace-aligned shrinkage estimator.
+    """High-dimensional upper bound on the robust risk of a subspace-aligned shrinkage estimator.
 
     For H = (U V') diag(sigma_i) W' built on the SVD of A U, the residual
-    covariance diagonalizes in H's left singular basis, so taking the
-    expectation inside the dual gives the exact risk as a one-dimensional
-    minimization:
+    covariance diagonalizes in H's left singular basis.  Taking the
+    expectation inside the dual gives a one-dimensional minimization:
 
         R_eps(H) = min_{lam >= max sigma_i^2} lam eps^2
                    + sum_i ((sigma_i lambda_i - 1)^2 sigma_c^2/d
                             + sigma_i^2 sigma_z^2/m) / (1 - sigma_i^2/lam),
 
     with unobserved modes (profile shorter than d) contributing the constant
-    sigma_c^2/d each.  Returns (risk, lam_star).
+    sigma_c^2/d each.  This is min_lam E[...], which by Jensen's inequality
+    is at least the robust risk E min_lam [...] that `certify` estimates;
+    the two agree only as d -> infinity, and at small d the gap is a few
+    percent.  Returns (bound, lam_star).
     """
     sigma_i = np.atleast_1d(np.asarray(sigma_i, dtype=float))
     lambda_i = np.atleast_1d(np.asarray(lambda_i, dtype=float))
@@ -374,11 +377,14 @@ def robust_risk_mode_form(
 def best_jitter_level_analytic(
     model: SubspaceModel, op: ForwardOperator, noise: NoiseModel, eps: float
 ) -> tuple[float, float]:
-    """Jitter level minimizing the analytic robust risk of H_J(sigma_w).
+    """Jitter level minimizing the mode-form risk bound of H_J(sigma_w).
 
-    Works in s = sigma_w^2, where R(s) is the mode-form risk of the
-    jittering shrinkage sigma_i(s); dR/dsigma_w vanishes at sigma_w = 0
-    for every input, dR/ds does not.  By the envelope theorem dR/ds is
+    The minimized value is the high-dimensional upper bound of
+    robust_risk_mode_form, min_lam E[...] >= E min_lam [...] (Jensen), not
+    the robust risk itself.  Works in s = sigma_w^2, where R(s) is the
+    mode-form bound of the jittering shrinkage sigma_i(s); dR/dsigma_w
+    vanishes at sigma_w = 0 for every input, dR/ds does not.  By the
+    envelope theorem dR/ds is
     sum_i dG/dsigma_i * dsigma_i/ds at the lam* that robust_risk_mode_form
     returns, so each step of _increasing_root costs one mode-form solve.
     Returns (sigma_w_star, risk).

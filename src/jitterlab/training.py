@@ -15,26 +15,30 @@ adaptive (Adam-style) rule with bias-corrected first/second moments, which
 is the default at lr 1e-3.  Training starts from H = 0 and is
 deterministic given the config seed.
 
-One loop trains a stack of K runs in lockstep: runs whose configs differ
-only in seed, eps and sigma_w share every numpy call, with H, the
-optimizer moments, the minibatch and the PGD iterates held as (K, ., .)
-arrays.  Each run draws its own rng_stream(seed, t) into its slice, and
-eps and sigma_w enter as per-run factors, so every run gets the bits of
-its own loop; `train` is the K = 1 case.  A run at eps = 0 or sigma_w = 0
-is the standard objective bit for bit and trains in the standard stack.
-The loop works in place on buffers allocated once per stack and applies a
-diagonal operator as a row scaling; both give the bits of the textbook
-loop.
+One loop trains a stack of K runs in lockstep: runs under one noise model
+whose configs differ only in seed, eps and sigma_w share every numpy call,
+with H, the optimizer moments, the minibatch and the PGD iterates held as
+(K, ., .) arrays.  Each run draws its own rng_stream(seed, t) into its
+slice, from one generator per run rekeyed for each t (`_stream_series`),
+and eps and sigma_w enter as per-run factors, so every run gets the bits
+of its own loop; `train` is the K = 1 case.  A run at eps = 0 or
+sigma_w = 0 is the standard objective bit for bit and trains in the
+standard stack.  At sigma_z = 0 the noise z is all zeros, so unless the
+jitter w (drawn after z) is needed, a run draws only its latents c, the
+first d * B normals of its stream.  The loop works in place on buffers
+allocated once per stack and applies a diagonal operator as a row
+scaling; all of this gives the bits of the textbook loop.
 
 Runs with distinct seeds are independent, so the drivers spread them over
-forked workers with `_train_map`: each worker trains its share of the runs
-in stacks, then finishes (certifies) them in order.  Results do not
-depend on the worker count.
+forked workers with `_train_map`, each run under its own noise model:
+each worker trains its share of the runs in stacks, then finishes
+(certifies) them in order.  Results do not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
 import os
 from dataclasses import dataclass, replace
 
@@ -44,8 +48,8 @@ from .attack import pgd_perturb_batch
 from .errors import AttackDivergenceError, InvalidParameterError, TrainingDivergenceError
 from .estimators import LinearEstimator
 from .model import (
-    ForwardOperator, NoiseModel, SubspaceModel, _check_triple, _sub_seed, draw_sample_arrays,
-    rng_stream,
+    ForwardOperator, NoiseModel, SubspaceModel, _check_triple, _stream_series, _sub_seed,
+    draw_sample_arrays,
 )
 from .risk import RiskReport, _check_eval_samples, certify
 
@@ -180,6 +184,12 @@ class TrainConfig:
     record_every: int = 100
 
     def __post_init__(self) -> None:
+        for field in ("seed", "n_iterations", "batch_size", "attack_steps", "record_every"):
+            value = getattr(self, field)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise InvalidParameterError(f"{field} must be an int, got {value!r}")
+        if self.seed < 0:
+            raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
         if self.objective not in _OBJECTIVES:
             raise InvalidParameterError(f"objective must be one of {_OBJECTIVES}")
         if self.optimizer not in _OPTIMIZERS:
@@ -256,11 +266,15 @@ def _train_stack(
     sgd = config.optimizer == "sgd"
     eps = np.array([run.eps for run in configs])[:, None, None]
     sigma_w = np.array([run.sigma_w for run in configs])[:, None, None]
+    streams = [_stream_series(run.seed, config.n_iterations) for run in configs]
 
     # One draw per run and iteration fills c, z (and w) in the order of
     # separate (d, B), (m, B), (m, B) draws, so the stream is the same.
     draw = np.empty((k, d + m + (m if objective == "jittering" else 0), batch))
     c, z, w = draw[:, :d], draw[:, d:d + m], draw[:, d + m:]
+    # At sigma_z = 0, y + z is y: unless w (drawn after z) is needed, only c is drawn.
+    noiseless = noise.sigma_z == 0.0 and objective != "jittering"
+    fill = c if noiseless else draw
     x, y = np.empty((k, n, batch)), np.empty((k, m, batch))
     resid, sq = np.empty_like(x), np.empty_like(x)
     # H, then the SGD velocity or the two adaptive moments, one slice per run.
@@ -272,17 +286,18 @@ def _train_stack(
     losses: list[list[float]] = [[] for _ in configs]
     stopped: dict[int, Exception] = {}  # stack position -> exception
     for t in range(config.n_iterations):
-        for p, run in enumerate(configs):
-            rng_stream(run.seed, t).standard_normal(out=draw[p])
+        for p, stream in enumerate(streams):
+            next(stream).standard_normal(out=fill[p])
         c *= c_scale
-        z *= z_scale
         np.matmul(basis, c, out=x)
         if row_scale is None:
             np.matmul(a_mat, x, out=y)
         else:
             # The zero off-diagonal terms add nothing to the matmul's sums.
             np.multiply(row_scale, x, out=y)
-        y += z
+        if not noiseless:
+            z *= z_scale
+            y += z
 
         if objective == "jittering":
             w *= sigma_w
@@ -402,19 +417,19 @@ _MAX_STACK = 4
 def _train_runs(
     model: SubspaceModel,
     op: ForwardOperator,
-    noise: NoiseModel,
+    noises: list[NoiseModel],
     configs: list[TrainConfig],
 ) -> list[TrainTrace | Exception]:
-    """One outcome per config, in order, as _train_stack gives them.
+    """One outcome per (noises[i], configs[i]), in order, as _train_stack gives them.
 
-    Configs with one _stack_key train together, split into the fewest
-    stacks of at most _MAX_STACK runs, of nearly equal size.
+    Runs with one noise model and one _stack_key train together, split
+    into the fewest stacks of at most _MAX_STACK runs, of nearly equal size.
     """
-    groups: dict[TrainConfig, list[int]] = {}
-    for i, config in enumerate(configs):
-        groups.setdefault(_stack_key(config), []).append(i)
+    groups: dict[tuple[NoiseModel, TrainConfig], list[int]] = {}
+    for i, (noise, config) in enumerate(zip(noises, configs, strict=True)):
+        groups.setdefault((noise, _stack_key(config)), []).append(i)
     outcomes: list = [None] * len(configs)
-    for members in groups.values():
+    for (noise, _), members in groups.items():
         n_stacks = -(-len(members) // _MAX_STACK)
         for j in range(n_stacks):
             stack = members[j::n_stacks]
@@ -426,31 +441,34 @@ def _train_runs(
 def _train_map(
     model: SubspaceModel,
     op: ForwardOperator,
-    noise: NoiseModel,
+    noises: list[NoiseModel],
     configs: list[TrainConfig],
     finish,
 ) -> list:
     """[finish(i, run) for each config i], over this process and forked children.
 
-    run() returns the TrainTrace of train(model, op, noise, configs[i]) or
-    raises its exception, inside finish, which may annotate it.  The
-    configs of each stack key are dealt round-robin over the processes,
-    the deal going on from one key to the next, so every process gets a
-    like share of each kind of run.  Each process trains its share with
-    _train_runs, then finishes it in item order; the first failing item in
-    item order raises, as the plain loop would (see _map_shares).
+    run() returns the TrainTrace of train(model, op, noises[i], configs[i])
+    or raises its exception, inside finish, which may annotate it.  The
+    runs of each (noise model, stack key) are dealt round-robin over the
+    processes, the deal going on from one key to the next, so every
+    process gets a like share of each kind of run.  Each process trains its
+    share with _train_runs, then finishes it in item order; the first
+    failing item in item order raises, as the plain loop would (see
+    _map_shares).
     """
 
     def run_share(share: list) -> tuple[list, Exception | None]:
         try:
-            runs = _train_runs(model, op, noise, [configs[i] for i in share])
+            runs = _train_runs(
+                model, op, [noises[i] for i in share], [configs[i] for i in share]
+            )
         except Exception as exc:  # not one run's own failure: charged to the share's first item
             return [], exc
         return _run_share(
             lambda item: finish(item[0], functools.partial(_outcome, item[1])), zip(share, runs)
         )
 
-    keys = [_stack_key(config) for config in configs]
+    keys = [(noise, _stack_key(config)) for noise, config in zip(noises, configs, strict=True)]
     return _map_shares(run_share, sorted(range(len(configs)), key=lambda i: keys.index(keys[i])))
 
 
@@ -510,7 +528,7 @@ def sweep_jitter_levels(
             exc.args = tuple(list(exc.args) + [detail]) if exc.args else (detail,)
             raise
 
-    reports = _train_map(model, op, noise, configs, certify_row)
+    reports = _train_map(model, op, [noise] * len(configs), configs, certify_row)
     risks = np.array([report.values for report in reports])
     ci_low = np.array([report.ci_low for report in reports])
     ci_high = np.array([report.ci_high for report in reports])

@@ -112,7 +112,9 @@ def test_criterion_4_trained_risks_match_closed_form():
         )
         for j, eps in enumerate(eps_grid)
     ]
-    trained = _train_map(model, op, noise, configs, lambda i, run: run().estimator)
+    trained = _train_map(
+        model, op, [noise] * len(configs), configs, lambda i, run: run().estimator
+    )
     all_ok = True
     lines = []
     for j, eps in enumerate(eps_grid):

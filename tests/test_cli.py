@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import jitterlab.model
+import jitterlab.training
 from jitterlab.cli import main
+from jitterlab.errors import TrainingDivergenceError
 from jitterlab.experiments import (
     COMMAND_DEFAULTS,
     COMMAND_FUNCS,
@@ -190,24 +192,64 @@ def test_sweep_small_run_writes_argmin_file(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["gap", "equivalence", "large-eps", "sweep"])
-def test_drivers_draw_the_evaluation_set_once(monkeypatch, command):
-    # Every estimator and eps of a run is certified on one shared draw
-    # (one per noise level in large-eps); sweep draws inside
-    # sweep_jitter_levels.  Default grids, tiny sizes and budgets.
-    draws = []
+def test_drivers_draw_the_evaluation_set_once(tmp_path, monkeypatch, command):
+    # Every estimator and eps of a run is certified on one shared draw,
+    # made before the map (sweep draws inside sweep_jitter_levels).
+    # large-eps has one set per noise level, which each process draws when
+    # it first certifies a run of that level: at most once per process.
+    # Draws are logged to a file, as forked workers cannot append to this
+    # process's lists.  Default grids, tiny sizes and budgets, two CPUs.
+    log = tmp_path / "draws.log"
     real = jitterlab.model.draw_latents
 
-    def counting(*args, **kwargs):
-        draws.append(args)
-        return real(*args, **kwargs)
+    def counting(model, noise, count, seed):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {noise.sigma_z!r} {seed}\n")
+        return real(model, noise, count, seed)
 
     monkeypatch.setattr(jitterlab.model, "draw_latents", counting)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     cfg = resolve_config(
         command, {"n": "12", "d": "4", "n_iterations": "2", "eval_samples": "20"}
     )
     COMMAND_FUNCS[command](cfg)
-    expected = len(cfg["noise_levels"]) if command == "large-eps" else 1
-    assert len(draws) == expected
+    draws = [tuple(line.split()) for line in log.read_text().splitlines()]
+    if command == "large-eps":
+        assert len(set(draws)) == len(draws)
+        assert len({(sigma_z, seed) for _, sigma_z, seed in draws}) == len(cfg["noise_levels"])
+        assert len({pid for pid, _, _ in draws}) == 2
+    else:
+        assert draws == [(str(os.getpid()),) + draws[0][1:]]
+
+
+@pytest.mark.parametrize(
+    "cpus", [{0}, {0, 1}, {0, 1, 2}], ids=["one-cpu", "two-cpus", "three-cpus"]
+)
+def test_large_eps_raises_the_first_failing_run(tmp_path, monkeypatch, cpus):
+    # All levels train in one map.  Two runs of the last level fail, in
+    # different processes when there are several: the earlier in item order
+    # (level by level, eps by eps) is raised, and no CSV is written.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    out = tmp_path / "x.csv"
+    cfg = resolve_config("large-eps", {
+        "n": "12", "d": "4", "n_iterations": "5", "eval_samples": "20", "out": str(out),
+    })
+    last = len(cfg["noise_levels"]) - 1
+    failing = {jitterlab.model._sub_seed(cfg["seed"], 200 + 10 * last + j): j for j in (2, 5)}
+    real = jitterlab.training._train_stack
+
+    def failing_stack(model, op, noise, configs):
+        runs = real(model, op, noise, configs)
+        return [
+            TrainingDivergenceError(f"eps index {failing[config.seed]}")
+            if config.seed in failing else run
+            for config, run in zip(configs, runs)
+        ]
+
+    monkeypatch.setattr(jitterlab.training, "_train_stack", failing_stack)
+    with pytest.raises(TrainingDivergenceError, match="eps index 2$"):
+        COMMAND_FUNCS["large-eps"](cfg)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["equivalence", "gap", "large-eps", "sweep"])

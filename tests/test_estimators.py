@@ -173,6 +173,34 @@ def test_mmse_is_zero_jitter():
     assert np.array_equal(a.matrix, b.matrix)
 
 
+@st.composite
+def _noisier_training(draw):
+    n = draw(st.integers(2, 24))
+    d = draw(st.integers(1, n))
+    spectrum = draw(st.sampled_from(["identity", "linear-decay", "geometric"]))
+    ratio = draw(st.floats(0.3, 1.0))
+    sigma_c = draw(st.floats(0.1, 5.0))
+    sigma_z = draw(st.floats(0.0, 2.0))
+    sigma_z_train = sigma_z * draw(st.floats(1.0, 3.0)) + draw(st.floats(0.0, 1.0))
+    return n, d, spectrum, ratio, sigma_c, sigma_z, sigma_z_train, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_noisier_training())
+def test_noisier_training_data_is_jittering(case):
+    # Standard training at sigma_z_train >= sigma_z minimizes the jittering
+    # objective at sigma_w^2 = (sigma_z_train^2 - sigma_z^2)/m: the MMSE
+    # estimator of the noisier model is that jittering estimator.
+    n, d, spectrum, ratio, sigma_c, sigma_z, sigma_z_train, seed = case
+    model = make_subspace(n, d, sigma_c, seed=seed)
+    op = make_diagonal_operator(n, spectrum, ratio=ratio)
+    trained = mmse_estimator(model, op, NoiseModel(m=n, sigma_z=sigma_z_train)).matrix
+    sigma_w = math.sqrt((sigma_z_train**2 - sigma_z**2) / n)
+    jittered = optimal_jittering_estimator(model, op, NoiseModel(m=n, sigma_z=sigma_z), sigma_w)
+    scale = np.max(np.abs(jittered.matrix))
+    assert np.max(np.abs(trained - jittered.matrix)) <= 1e-12 * scale
+
+
 def test_ridge_matches_jittering_estimator():
     # regularizer sigma_w^2 reproduces the jittering solution exactly
     rng = np.random.default_rng(5)

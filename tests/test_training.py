@@ -42,6 +42,21 @@ def test_config_validation():
         TrainConfig(objective="adversarial", eps=0.1, attack_step_scale=0.0)
 
 
+@pytest.mark.parametrize("field", ["seed", "n_iterations", "batch_size", "attack_steps",
+                                   "record_every"])
+@pytest.mark.parametrize("value", [2.5, True, "3", np.float64(4.0)])
+def test_config_rejects_non_int_counts(field, value):
+    with pytest.raises(InvalidParameterError, match=field):
+        TrainConfig(**{field: value})
+
+
+def test_config_rejects_negative_seed_and_takes_numpy_ints():
+    with pytest.raises(InvalidParameterError, match="seed"):
+        TrainConfig(seed=-1)
+    config = TrainConfig(seed=np.uint32(7), n_iterations=np.int64(3))
+    assert (config.seed, config.n_iterations) == (7, 3)
+
+
 @pytest.mark.parametrize("field", ["eps", "sigma_w", "lr", "eps_hat", "attack_step_scale"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_config_rejects_non_finite(field, value):
@@ -179,24 +194,27 @@ def _reference_train(model, op, noise, config):
 @pytest.mark.parametrize("optimizer", ["adaptive", "sgd"])
 @pytest.mark.parametrize("objective", ["standard", "adversarial", "jittering"])
 def test_train_bit_identical_to_reference_loop(spectrum, optimizer, objective):
-    # Alone and as one run of a lockstep stack, each run gets the textbook bits.
-    model, op, noise = _setup(n=12, d=4, spectrum=spectrum)
-    cfg = TrainConfig(
-        objective=objective, eps=0.3, sigma_w=0.2, optimizer=optimizer,
-        lr=1e-3 if optimizer == "adaptive" else 0.02, momentum=0.5,
-        batch_size=9, n_iterations=60, seed=6,
-    )
-    h = train(model, op, noise, cfg).estimator.matrix
-    assert np.array_equal(h, _reference_train(model, op, noise, cfg))
-    stack = [cfg] + [
-        replace(cfg, seed=seed, eps=eps, sigma_w=sw)
-        for seed, eps, sw in ((7, 0.1, 0.05), (8, 0.6, 0.4))
-    ]
-    for config, run in zip(stack, _train_stack(model, op, noise, stack)):
-        alone = train(model, op, noise, config)
-        assert np.array_equal(run.estimator.matrix, _reference_train(model, op, noise, config))
-        assert np.array_equal(run.iterations, alone.iterations)
-        assert np.array_equal(run.losses, alone.losses)
+    # Alone and as one run of a lockstep stack, each run gets the textbook bits,
+    # also at sigma_z = 0, where only jittering draws the (zero) noise z.
+    for sigma_z in (0.4, 0.0):
+        model, op, noise = _setup(n=12, d=4, sigma_z=sigma_z, spectrum=spectrum)
+        cfg = TrainConfig(
+            objective=objective, eps=0.3, sigma_w=0.2, optimizer=optimizer,
+            lr=1e-3 if optimizer == "adaptive" else 0.02, momentum=0.5,
+            batch_size=9, n_iterations=60, seed=6,
+        )
+        h = train(model, op, noise, cfg).estimator.matrix
+        assert np.array_equal(h, _reference_train(model, op, noise, cfg))
+        stack = [cfg] + [
+            replace(cfg, seed=seed, eps=eps, sigma_w=sw)
+            for seed, eps, sw in ((7, 0.1, 0.05), (8, 0.6, 0.4))
+        ]
+        for config, run in zip(stack, _train_stack(model, op, noise, stack)):
+            alone = train(model, op, noise, config)
+            reference = _reference_train(model, op, noise, config)
+            assert np.array_equal(run.estimator.matrix, reference)
+            assert np.array_equal(run.iterations, alone.iterations)
+            assert np.array_equal(run.losses, alone.losses)
 
 
 def test_train_runs_returns_a_mixed_list_in_input_order():
@@ -214,7 +232,7 @@ def test_train_runs_returns_a_mixed_list_in_input_order():
         replace(base, objective="adversarial", eps=0.1 * (j + 1), seed=10 + j)
         for j in range(_MAX_STACK + 1)
     ]
-    runs = _train_runs(model, op, noise, configs)
+    runs = _train_runs(model, op, [noise] * len(configs), configs)
     assert len(runs) == len(configs)
     for config, run in zip(configs, runs):
         alone = train(model, op, noise, config)
@@ -285,13 +303,13 @@ def test_train_map_raises_the_first_failing_run(monkeypatch, cpus):
         return finish
 
     with pytest.raises(TrainingDivergenceError) as info:
-        _train_map(model, op, noise, configs, finish_failing_at(2))
+        _train_map(model, op, [noise] * len(configs), configs, finish_failing_at(2))
     with pytest.raises(TrainingDivergenceError) as alone:
         train(model, op, noise, configs[1])
     assert str(info.value) == str(alone.value)
     assert np.array_equal(info.value.trace.losses, alone.value.trace.losses)
     with pytest.raises(ValueError, match="item 0"):
-        _train_map(model, op, noise, configs, finish_failing_at(0))
+        _train_map(model, op, [noise] * len(configs), configs, finish_failing_at(0))
     assert multiprocessing.active_children() == []
 
 
