@@ -14,8 +14,6 @@ should sit strictly below the jitter curve once eps is large enough, and
 both should beat the standard estimator by a widening margin.
 """
 
-import numpy as np
-
 import jitterlab as jl
 
 N, D = 100, 50
@@ -34,20 +32,19 @@ def main():
     print()
     print(f"{'eps':>5} {'standard':>10} {'jitter':>10} {'conjectured':>12}  best sigma_w")
 
+    x, y, _ = jl.draw_sample_arrays(model, op, noise, N_EVAL, 3)
+    std = jl.mmse_estimator(model, op, noise)
     rows = []
     for eps in EPS_GRID:
-        std = jl.mmse_estimator(model, op, noise)
         sw_star, _ = jl.best_jitter_level_analytic(model, op, noise, eps)
         jit = jl.optimal_jittering_estimator(model, op, noise, sw_star)
         conj, _ = jl.conjectured_robust_estimator(model, op, noise, eps)
 
         risks = {}
         for tag, est in (("std", std), ("jit", jit), ("conj", conj)):
-            v = jl.residuals(est, model, op, noise, N_EVAL, 3)
-            vals = jl.dual_values_batch(est, v, eps)
-            mean = float(vals.mean())
-            half = jl.CI_SCALE * float(vals.std(ddof=1)) / np.sqrt(N_EVAL)
-            risks[tag] = (mean, half)
+            report = jl.certify(est, x, y, eps)
+            mean = float(report.values[0])
+            risks[tag] = (mean, float(report.ci_high[0]) - mean)
         print(f"{eps:5.2f} {risks['std'][0]:10.4f} {risks['jit'][0]:10.4f}"
               f" {risks['conj'][0]:12.4f}  {sw_star:.4f}")
         rows.append((eps, risks["std"], risks["jit"], risks["conj"], sw_star))

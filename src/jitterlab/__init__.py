@@ -27,9 +27,7 @@ from .estimators import (
     optimal_jittering_estimator,
     optimal_robust_alpha,
     optimal_robust_denoiser,
-    read_factored_text,
     ridge_estimator,
-    write_factored_text,
 )
 from .model import (
     ForwardOperator,
@@ -104,7 +102,6 @@ __all__ = [
     "optimal_robust_denoiser",
     "pgd_attack",
     "pgd_perturb_batch",
-    "read_factored_text",
     "residuals",
     "ridge_estimator",
     "rng_stream",
@@ -114,5 +111,4 @@ __all__ = [
     "sweep_jitter_levels",
     "train",
     "worst_case_perturbation_projection",
-    "write_factored_text",
 ]

@@ -220,14 +220,14 @@ class LinearEstimator:
 class ShrinkageProfile:
     """Per-mode shrinkage factors sigma_i on forward singular values lambda_i.
 
-    lambda_star is the optimal dual variable when the profile comes from the
-    conjectured robust estimator; the dual constraint sigma_i^2 <= lambda_star
-    is asserted at construction.
+    lambda_star is the optimal dual variable of the conjectured robust
+    estimator; the dual constraint sigma_i^2 <= lambda_star is asserted at
+    construction.
     """
 
     sigma_i: np.ndarray
     lambda_i: np.ndarray
-    lambda_star: float | None = None
+    lambda_star: float
 
     def __post_init__(self) -> None:
         sigma_i = np.asarray(self.sigma_i, dtype=float)
@@ -236,7 +236,7 @@ class ShrinkageProfile:
             raise InvalidDimensionError("sigma_i and lambda_i must be matching 1-D arrays")
         if np.any(sigma_i < 0):
             raise InvalidParameterError("shrinkage factors must be >= 0")
-        if self.lambda_star is not None and np.any(sigma_i**2 > self.lambda_star + 1e-12):
+        if np.any(sigma_i**2 > self.lambda_star + 1e-12):
             raise InvalidParameterError(
                 "dual constraint violated: max sigma_i^2 = "
                 f"{(sigma_i**2).max():.6e} > lambda_star = {self.lambda_star:.6e}"
@@ -420,46 +420,3 @@ def mmse_estimator(
     """Standard-risk (eps = 0) optimal linear estimator: jittering at sigma_w = 0."""
     return optimal_jittering_estimator(model, op, noise, 0.0)
 
-
-def write_factored_text(estimator: LinearEstimator, path: str) -> None:
-    """Three whitespace blocks: left factor, singular values, right factor."""
-    left, s, right = estimator.left, estimator.singular_values, estimator.right
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# left {left.shape[0]} {left.shape[1]}\n")
-        for row in left:
-            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
-        fh.write(f"\n# singular_values {s.shape[0]}\n")
-        fh.write(" ".join(f"{x:.17g}" for x in s) + "\n")
-        fh.write(f"\n# right {right.shape[0]} {right.shape[1]}\n")
-        for row in right:
-            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
-
-
-def read_factored_text(path: str) -> LinearEstimator:
-    """Inverse of write_factored_text; each block must match its header's shape."""
-    headers: list[list[str]] = []
-    blocks: list[list[list[float]]] = [[]]  # blocks[0] collects data before any header
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("#"):
-                headers.append(line[1:].split())
-                blocks.append([])
-            elif line:
-                blocks[-1].append([float(tok) for tok in line.split()])
-    if [h[:1] for h in headers] != [["left"], ["singular_values"], ["right"]] or blocks[0]:
-        raise InvalidParameterError("expected a left, a singular_values and a right block")
-    factors = []
-    for header, rows in zip(headers, blocks[1:]):
-        try:
-            shape = tuple(int(tok) for tok in header[1:])
-        except ValueError:
-            shape = ()
-        if len(shape) != (1 if header[0] == "singular_values" else 2) or min(shape) < 0:
-            raise InvalidParameterError(f"malformed block header {' '.join(header)!r}")
-        # A block with zero columns is written as blank lines, which carry no rows.
-        n_rows = int(np.prod(shape[:-1])) if shape[-1] else 0
-        if len(rows) != n_rows or any(len(row) != shape[-1] for row in rows):
-            raise InvalidDimensionError(f"{header[0]} block does not match its shape {shape}")
-        factors.append(np.array(rows, dtype=float).reshape(shape))
-    return LinearEstimator.from_factors(*factors)

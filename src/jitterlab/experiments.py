@@ -435,13 +435,9 @@ def cmd_large_eps(cfg: dict) -> str:
     return _emit("large-eps", cfg, columns, rows, cfg["out"])
 
 
-def _auto_sigma_w_grid(cfg: dict) -> tuple[float, ...]:
+def _auto_sigma_w_grid(theory: list[float]) -> tuple[float, ...]:
     # Cover the closed-form levels for the requested eps grid with headroom.
-    levels = [
-        jitter_level_for_eps(cfg["sigma_c"], cfg["sigma_z"], cfg["d"], cfg["n"], float(e))
-        for e in cfg["eps_grid"]
-    ]
-    top = 1.4 * max(levels) if max(levels) > 0 else 0.1
+    top = 1.4 * max(theory) if max(theory) > 0 else 0.1
     return tuple(np.linspace(0.0, top, 8))
 
 
@@ -454,7 +450,12 @@ def cmd_sweep(cfg: dict) -> str:
     if cfg["operator"] != "identity":
         raise ConfigError("sweep runs the denoising setup: operator=identity")
     model, op, noise = _build_setup(cfg)
-    sigma_w_grid = cfg["sigma_w_grid"] or _auto_sigma_w_grid(cfg)
+    # Before any training: an eps grid without closed-form levels fails here.
+    theory = [
+        jitter_level_for_eps(model.sigma_c, noise.sigma_z, model.d, model.n, float(eps))
+        for eps in cfg["eps_grid"]
+    ]
+    sigma_w_grid = cfg["sigma_w_grid"] or _auto_sigma_w_grid(theory)
     base = _train_config(cfg, "jittering", 0)
     result = sweep_jitter_levels(
         model, op, noise,
@@ -468,14 +469,10 @@ def cmd_sweep(cfg: dict) -> str:
                 f"{_g(sw)},{_g(eps)},{_g(result.risks[i, j])},"
                 f"{_g(result.ci_low[i, j])},{_g(result.ci_high[i, j])}\n"
             )
-    argmin_rows = []
-    for j, eps in enumerate(result.eps_grid):
-        theory = jitter_level_for_eps(
-            model.sigma_c, noise.sigma_z, model.d, model.n, float(eps)
-        )
-        argmin_rows.append(
-            f"{_g(eps)},{_g(result.argmin_sigma_w[j])},{_g(theory)}\n"
-        )
+    argmin_rows = [
+        f"{_g(eps)},{_g(sw_star)},{_g(sw_theory)}\n"
+        for eps, sw_star, sw_theory in zip(result.eps_grid, result.argmin_sigma_w, theory)
+    ]
     text = _emit("sweep", cfg, "sigma_w,eps,risk,ci_low,ci_high", rows, cfg["out"])
     stem, ext = os.path.splitext(cfg["out"])
     argmin_path = f"{stem}_argmin{ext or '.csv'}" if cfg["out"] else ""

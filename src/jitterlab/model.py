@@ -30,9 +30,6 @@ _CHUNK = 4096
 
 _ORTHO_TOL = 1e-10
 
-# Bases whose A U factorization an operator keeps; experiments use a handful.
-_SVD_CACHE_SIZE = 8
-
 
 def rng_stream(seed: int, *path: int) -> np.random.Generator:
     """Independent counter-based generator for one (seed, path) coordinate.
@@ -191,8 +188,8 @@ class ForwardOperator:
     The factorization A U = W diag(lambda) V (W: m x k with orthonormal
     columns, lambda sorted non-increasing and >= 0, V: k x d with
     orthonormal rows) depends on the model basis, so it is computed lazily
-    per basis and cached for the most recent few bases.  Entries hold the
-    basis array itself and match by identity, so a cached basis cannot be
+    and kept for the most recent basis.  The operator holds that basis
+    array itself and matches it by identity, so the held basis cannot be
     freed and have its id reused by another model's basis.
     """
 
@@ -203,7 +200,7 @@ class ForwardOperator:
         if not np.all(np.isfinite(matrix)):
             raise InvalidParameterError("operator matrix must be finite")
         self.matrix = _readonly(matrix)
-        self._svd_cache: list[tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]] = []
+        self._svd_held: tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
 
     @property
     def m(self) -> int:
@@ -220,12 +217,11 @@ class ForwardOperator:
                 f"operator has {self.n} columns but model is {model.n}-dimensional"
             )
         basis = model.basis
-        for held, factors in self._svd_cache:
-            if held is basis:
-                return factors
+        if self._svd_held is not None and self._svd_held[0] is basis:
+            return self._svd_held[1]
         w, lam, v = np.linalg.svd(self.matrix @ basis, full_matrices=False)
         factors = (_readonly(w), _readonly(lam), _readonly(v))
-        self._svd_cache = [(basis, factors)] + self._svd_cache[: _SVD_CACHE_SIZE - 1]
+        self._svd_held = (basis, factors)
         return factors
 
 

@@ -11,8 +11,9 @@ overfitting).  Per-sample gradients of the squared error:
     jittering    2 (H (y+w) - x) (y+w)',  fresh w ~ N(0, sigma_w^2 I)
 
 Optimizers are implemented from scratch: plain SGD with momentum, and the
-adaptive (Adam-style) rule with bias-corrected first/second moments, which
-is the default at lr 1e-3.  Training starts from H = 0 and is
+adaptive (Adam-style) rule with bias-corrected first/second moments at the
+fixed decay rates 0.9 and 0.999 and denominator offset 1e-8, which is the
+default at lr 1e-3.  Training starts from H = 0 and is
 deterministic given the config seed.
 
 One loop trains a stack of K runs in lockstep: runs under one noise model
@@ -55,6 +56,8 @@ from .risk import RiskReport, _check_eval_samples, certify
 
 _OBJECTIVES = ("standard", "adversarial", "jittering")
 _OPTIMIZERS = ("sgd", "adaptive")
+# The adaptive rule's first and second moment decay rates and denominator offset.
+_BETA1, _BETA2, _EPS_HAT = 0.9, 0.999, 1e-8
 
 # True while this process runs a _map_shares share; forked workers inherit it.
 _mapping = False
@@ -164,7 +167,8 @@ class TrainConfig:
 
     objective selects the gradient rule; eps feeds "adversarial" and
     sigma_w feeds "jittering" (each ignored otherwise).  attack_steps is
-    the training-mode PGD budget.
+    the training-mode PGD budget, taken at pgd_perturb_batch's default step
+    scale.
     """
 
     objective: str = "standard"
@@ -173,14 +177,10 @@ class TrainConfig:
     optimizer: str = "adaptive"
     lr: float = 1e-3
     momentum: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_hat: float = 1e-8
     batch_size: int = 50
     n_iterations: int = 20000
     seed: int = 0
     attack_steps: int = 3
-    attack_step_scale: float = 2.5
     record_every: int = 100
 
     def __post_init__(self) -> None:
@@ -194,21 +194,14 @@ class TrainConfig:
             raise InvalidParameterError(f"objective must be one of {_OBJECTIVES}")
         if self.optimizer not in _OPTIMIZERS:
             raise InvalidParameterError(f"optimizer must be one of {_OPTIMIZERS}")
-        finite = (self.eps, self.sigma_w, self.lr, self.eps_hat, self.attack_step_scale)
-        if not np.all(np.isfinite(finite)):
-            raise InvalidParameterError(
-                "eps, sigma_w, lr, eps_hat and attack_step_scale must be finite"
-            )
+        if not np.all(np.isfinite((self.eps, self.sigma_w, self.lr))):
+            raise InvalidParameterError("eps, sigma_w and lr must be finite")
         if self.lr <= 0 or self.batch_size < 1 or self.n_iterations < 1:
             raise InvalidParameterError("need lr > 0, batch_size >= 1, n_iterations >= 1")
         if self.eps < 0 or self.sigma_w < 0:
             raise InvalidParameterError("eps and sigma_w must be >= 0")
         if not (0.0 <= self.momentum < 1.0):
             raise InvalidParameterError("momentum must lie in [0, 1)")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise InvalidParameterError("beta1 and beta2 must lie in [0, 1)")
-        if self.eps_hat <= 0 or self.attack_step_scale <= 0:
-            raise InvalidParameterError("eps_hat and attack_step_scale must be > 0")
         if self.attack_steps < 1 or self.record_every < 1:
             raise InvalidParameterError("attack_steps and record_every must be >= 1")
 
@@ -262,7 +255,7 @@ def _train_stack(
     c_scale = model.sigma_c / np.sqrt(d)
     z_scale = noise.per_coordinate_std
     objective = config.objective
-    attack = (config.attack_steps, config.attack_step_scale)
+    steps = config.attack_steps
     sgd = config.optimizer == "sgd"
     eps = np.array([run.eps for run in configs])[:, None, None]
     sigma_w = np.array([run.sigma_w for run in configs])[:, None, None]
@@ -305,13 +298,13 @@ def _train_stack(
             yt = w
         elif objective == "adversarial":
             try:
-                yt = pgd_perturb_batch(h, x, y, eps, *attack)
+                yt = pgd_perturb_batch(h, x, y, eps, steps)
             except AttackDivergenceError:
                 # The failure belongs to the runs whose own attack fails.
                 for p in range(k):
                     alone = slice(p, p + 1)
                     try:
-                        pgd_perturb_batch(h[alone], x[alone], y[alone], eps[alone], *attack)
+                        pgd_perturb_batch(h[alone], x[alone], y[alone], eps[alone], steps)
                     except AttackDivergenceError as exc:
                         stopped[p] = exc
                 if not stopped:
@@ -352,19 +345,19 @@ def _train_stack(
             h += vel
         else:
             mom1, mom2 = moments
-            mom1 *= config.beta1
-            np.multiply(1.0 - config.beta1, grad, out=step)
+            mom1 *= _BETA1
+            np.multiply(1.0 - _BETA1, grad, out=step)
             mom1 += step
-            mom2 *= config.beta2
+            mom2 *= _BETA2
             np.multiply(grad, grad, out=step)
-            step *= 1.0 - config.beta2
+            step *= 1.0 - _BETA2
             mom2 += step
-            np.divide(mom1, 1.0 - config.beta1 ** (t + 1), out=step)
+            np.divide(mom1, 1.0 - _BETA1 ** (t + 1), out=step)
             step *= config.lr
             denom = grad  # the gradient is spent: its buffer takes the denominator
-            np.divide(mom2, 1.0 - config.beta2 ** (t + 1), out=denom)
+            np.divide(mom2, 1.0 - _BETA2 ** (t + 1), out=denom)
             np.sqrt(denom, out=denom)
-            denom += config.eps_hat
+            denom += _EPS_HAT
             step /= denom
             h -= step
 

@@ -90,6 +90,7 @@ def test_criterion_3_pgd_reaches_dual():
     assert elapsed < 30.0
 
 
+@pytest.mark.slow
 def test_criterion_4_trained_risks_match_closed_form():
     t0 = time.time()
     sigma_c, sigma_z = 1.0, 0.4 * np.sqrt(2.0)
@@ -240,6 +241,7 @@ def test_criterion_8_ridge_equals_jittering():
     assert elapsed < 1.0
 
 
+@pytest.mark.slow
 def test_criterion_9_sweep_argmin_matches_theory():
     t0 = time.time()
     sigma_c, sigma_z = 1.0, 0.4 * np.sqrt(2.0)

@@ -191,6 +191,30 @@ def test_sweep_small_run_writes_argmin_file(tmp_path):
     assert rows2[0]["sigma_w_theory"] == "0"
 
 
+@pytest.mark.parametrize("args, error", [
+    (["--sigma-c", "0"], "InvalidParameterError"),
+    (["--eps-grid", "1.5"], "OutOfRegimeError"),
+], ids=["zero-sigma-c", "eps-past-sigma-c"])
+def test_sweep_rejects_eps_without_a_theory_level_before_training(
+    tmp_path, capfd, monkeypatch, args, error
+):
+    # With an explicit sigma_w grid, only the sigma_w_theory column needs
+    # jitter_level_for_eps; it must fail before any grid point trains.
+    def no_training(*_):
+        raise AssertionError("sweep trained a grid point")
+
+    monkeypatch.setattr(jitterlab.training, "_train_stack", no_training)
+    out = tmp_path / "x.csv"
+    assert main([
+        "sweep", "--n", "12", "--d", "4", "--n-iterations", "2", "--eval-samples", "20",
+        "--sigma-w-grid", "0,0.1", *args, "--out", str(out),
+    ]) == 1
+    lines = capfd.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == error
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["gap", "equivalence", "large-eps", "sweep"])
 def test_drivers_draw_the_evaluation_set_once(tmp_path, monkeypatch, command):
     # Every estimator and eps of a run is certified on one shared draw,

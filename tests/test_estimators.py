@@ -1,6 +1,4 @@
 import math
-import os
-import tempfile
 
 import numpy as np
 import pytest
@@ -24,9 +22,7 @@ from jitterlab.estimators import (
     optimal_jittering_estimator,
     optimal_robust_alpha,
     optimal_robust_denoiser,
-    read_factored_text,
     ridge_estimator,
-    write_factored_text,
 )
 from jitterlab.model import NoiseModel, make_diagonal_operator, make_subspace
 
@@ -274,84 +270,6 @@ def test_apply_matches_matrix_product():
     est = LinearEstimator.from_matrix(h)
     y = rng.standard_normal((7, 4))
     assert np.max(np.abs(est.apply(y) - h @ y)) < 1e-12
-
-
-def test_factored_export_round_trip(tmp_path):
-    model, op, noise = _setup(spectrum="geometric")
-    est, _ = conjectured_robust_estimator(model, op, noise, 0.25)
-    path = os.path.join(tmp_path, "est.txt")
-    write_factored_text(est, path)
-    back = read_factored_text(path)
-    assert np.max(np.abs(back.matrix - est.matrix)) < 1e-10
-    assert np.max(np.abs(back.singular_values - est.singular_values)) < 1e-10
-
-
-@pytest.mark.parametrize("rank", [0, 1, 5])  # 5 is full rank for a 6 x 5 map
-def test_factored_round_trip_at_every_rank(tmp_path, rank):
-    rng = np.random.default_rng(rank)
-    left = np.linalg.qr(rng.standard_normal((6, rank)))[0]
-    right = np.linalg.qr(rng.standard_normal((5, rank)))[0].T
-    s = np.sort(rng.uniform(0.1, 2.0, rank))[::-1]
-    est = LinearEstimator.from_factors(left, s, right)
-    path = os.path.join(tmp_path, "est.txt")
-    write_factored_text(est, path)
-    back = read_factored_text(path)
-    assert back.shape == (6, 5)
-    assert back.singular_values.shape == s.shape
-    assert np.max(np.abs(back.matrix - est.matrix), initial=0.0) < 1e-12
-
-
-@st.composite
-def _factored_shapes(draw):
-    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
-    return n, m, draw(st.integers(0, min(n, m))), draw(st.integers(0, 2**32 - 1))
-
-
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(_factored_shapes())
-def test_factored_round_trip_property(shape):
-    # n x m maps of every rank from 0 to full; %.17g text restores each double exactly
-    n, m, rank, seed = shape
-    rng = np.random.default_rng(seed)
-    left = np.linalg.qr(rng.standard_normal((n, rank)))[0]
-    right = np.linalg.qr(rng.standard_normal((m, rank)))[0].T
-    est = LinearEstimator.from_factors(left, np.sort(rng.uniform(0.1, 2.0, rank))[::-1], right)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "est.txt")
-        write_factored_text(est, path)
-        back = read_factored_text(path)
-    assert back.shape == (n, m)
-    for got, want in zip((back.left, back.singular_values, back.right),
-                         (est.left, est.singular_values, est.right)):
-        assert np.array_equal(got, want)
-
-
-def test_factored_read_rejects_truncated_block(tmp_path):
-    model, op, noise = _setup(n=8, d=3, spectrum="geometric")
-    est, _ = conjectured_robust_estimator(model, op, noise, 0.25)
-    path = os.path.join(tmp_path, "est.txt")
-    write_factored_text(est, path)
-    lines = open(path).read().splitlines()
-    del lines[3]  # one row of the left factor
-    open(path, "w").write("\n".join(lines) + "\n")
-    with pytest.raises(InvalidDimensionError):
-        read_factored_text(path)
-    lines = open(os.path.join(tmp_path, "est.txt")).read().splitlines()
-    header = lines.index("# singular_values 3")
-    lines[header + 1] = " ".join(lines[header + 1].split()[:2])
-    open(path, "w").write("\n".join(lines) + "\n")
-    with pytest.raises(InvalidDimensionError):
-        read_factored_text(path)
-
-
-def test_factored_read_rejects_bad_headers(tmp_path):
-    path = os.path.join(tmp_path, "est.txt")
-    open(path, "w").write("# left 1 x\n1\n\n# singular_values 1\n1\n\n# right 1 1\n1\n")
-    with pytest.raises(InvalidParameterError):
-        read_factored_text(path)
-    open(path, "w").write("# left 1 1\n1\n\n# right 1 1\n1\n")
-    with pytest.raises(InvalidParameterError):
-        read_factored_text(path)
 
 
 def test_root_finder_interior_root():

@@ -220,7 +220,16 @@ def test_au_svd_cache_never_serves_a_dead_model():
         expect = np.linalg.svd(op.matrix @ model.basis, compute_uv=False)
         assert np.max(np.abs(lam - expect)) < 1e-12
         del model
-    assert len(op._svd_cache) <= 8
+    held, _ = op._svd_held  # one (basis, factors) pair: the last model's
+    assert np.array_equal(held, make_subspace(20, 5, 1.0, seed=199).basis)
+
+
+def test_au_svd_alternating_live_models_get_their_own_factors():
+    op = make_diagonal_operator(12, "geometric", ratio=0.9)
+    models = [make_subspace(12, 4, 1.0, seed=s) for s in (1, 2)]
+    for model in models * 3:
+        w, lam, v = op.au_svd(model)
+        assert np.max(np.abs((w * lam) @ v - op.matrix @ model.basis)) < 1e-12
 
 
 def test_au_svd_cache_returns_same_factors_for_live_model():

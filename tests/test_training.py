@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import jitterlab.training
 from jitterlab.attack import pgd_perturb_batch
 from jitterlab.errors import AttackDivergenceError, InvalidParameterError, TrainingDivergenceError
 from jitterlab.estimators import (
@@ -13,7 +14,9 @@ from jitterlab.estimators import (
     mmse_estimator,
 )
 from jitterlab.estimators import LinearEstimator
-from jitterlab.model import NoiseModel, make_diagonal_operator, make_subspace, rng_stream
+from jitterlab.model import (
+    NoiseModel, _sub_seed, make_diagonal_operator, make_subspace, rng_stream,
+)
 from jitterlab.training import (
     _MAX_STACK, TrainConfig, TrainTrace, _fork_map, _train_map, _train_runs, _train_stack,
     sweep_jitter_levels, train,
@@ -38,8 +41,6 @@ def test_config_validation():
         TrainConfig(optimizer="lbfgs")
     with pytest.raises(InvalidParameterError):
         TrainConfig(objective="adversarial", eps=-0.1)
-    with pytest.raises(InvalidParameterError):
-        TrainConfig(objective="adversarial", eps=0.1, attack_step_scale=0.0)
 
 
 @pytest.mark.parametrize("field", ["seed", "n_iterations", "batch_size", "attack_steps",
@@ -57,7 +58,7 @@ def test_config_rejects_negative_seed_and_takes_numpy_ints():
     assert (config.seed, config.n_iterations) == (7, 3)
 
 
-@pytest.mark.parametrize("field", ["eps", "sigma_w", "lr", "eps_hat", "attack_step_scale"])
+@pytest.mark.parametrize("field", ["eps", "sigma_w", "lr"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_config_rejects_non_finite(field, value):
     with pytest.raises(InvalidParameterError):
@@ -147,6 +148,37 @@ def test_sweep_shapes_and_zero_eps_argmin():
     assert res.argmin_sigma_w[0] == 0.0
 
 
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+def test_sweep_names_the_first_failing_row(monkeypatch, cpus):
+    # Rows 1 and 2 fail, in different processes on two CPUs.  Row 1's error
+    # is raised with its grid point appended, and keeps its trace.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    model, op, noise = _setup(n=12, d=4)
+    sw_grid = np.array([0.0, 0.1, 0.2, 0.3])
+    base = TrainConfig(n_iterations=5)
+    own = train(
+        model, op, noise, replace(base, objective="jittering", sigma_w=0.1, seed=_sub_seed(0, 1))
+    )
+    real = jitterlab.training._train_stack
+
+    def failing_stack(model, op, noise, configs):
+        outcomes = real(model, op, noise, configs)
+        for p, config in enumerate(configs):
+            if config.sigma_w in (0.1, 0.2):
+                exc = TrainingDivergenceError(f"sigma_w {config.sigma_w}")
+                exc.trace = outcomes[p]
+                outcomes[p] = exc
+        return outcomes
+
+    monkeypatch.setattr(jitterlab.training, "_train_stack", failing_stack)
+    with pytest.raises(TrainingDivergenceError) as info:
+        sweep_jitter_levels(model, op, noise, np.array([0.2]), sw_grid, 20, 0, base_config=base)
+    assert info.value.args == ("sigma_w 0.1", "sweep grid point sigma_w=0.1 (row 1)")
+    assert np.array_equal(info.value.trace.losses, own.losses)
+    assert np.array_equal(info.value.trace.estimator.matrix, own.estimator.matrix)
+    assert multiprocessing.active_children() == []
+
+
 def test_jitter_noise_shares_stream_with_batch():
     # jittering at sigma_w=0 must reproduce the standard run bit for bit
     model, op, noise = _setup()
@@ -172,9 +204,7 @@ def _reference_train(model, op, noise, config):
         if config.objective == "jittering":
             yt = y + config.sigma_w * g.standard_normal((m, batch))
         elif config.objective == "adversarial":
-            yt = y + pgd_perturb_batch(
-                h, x, y, config.eps, config.attack_steps, config.attack_step_scale
-            )
+            yt = y + pgd_perturb_batch(h, x, y, config.eps, config.attack_steps)
         else:
             yt = y
         grad = (2.0 / batch) * ((h @ yt - x) @ yt.T)
@@ -182,11 +212,11 @@ def _reference_train(model, op, noise, config):
             vel = config.momentum * vel - config.lr * grad
             h = h + vel
         else:
-            mom1 = config.beta1 * mom1 + (1.0 - config.beta1) * grad
-            mom2 = config.beta2 * mom2 + (1.0 - config.beta2) * grad**2
-            m1_hat = mom1 / (1.0 - config.beta1 ** (t + 1))
-            m2_hat = mom2 / (1.0 - config.beta2 ** (t + 1))
-            h = h - config.lr * m1_hat / (np.sqrt(m2_hat) + config.eps_hat)
+            mom1 = 0.9 * mom1 + (1.0 - 0.9) * grad
+            mom2 = 0.999 * mom2 + (1.0 - 0.999) * grad**2
+            m1_hat = mom1 / (1.0 - 0.9 ** (t + 1))
+            m2_hat = mom2 / (1.0 - 0.999 ** (t + 1))
+            h = h - config.lr * m1_hat / (np.sqrt(m2_hat) + 1e-8)
     return h
 
 
