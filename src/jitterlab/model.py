@@ -9,11 +9,7 @@ is sigma_z^2/m throughout; denoising is the m = n special case.
 
 Randomness comes from counter-based Philox streams keyed by a master seed
 plus a stream path, so sample generation is reproducible bit-for-bit and
-parallelizable by chunk without shared state.  A training run takes one
-stream per iteration, rng_stream(seed, t); `_stream_series` yields them
-from one generator whose key it resets for each t, with the keys of many
-t derived at once by numpy's SeedSequence hash in vectorized uint32
-arithmetic.
+parallelizable by chunk without shared state.
 """
 
 from __future__ import annotations
@@ -39,86 +35,6 @@ def rng_stream(seed: int, *path: int) -> np.random.Generator:
     a SeedSequence spawn key).
     """
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=path)))
-
-
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): an entropy pool
-# of four uint32 words, mixed with these multipliers and a 16-bit xorshift.
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = 16
-
-
-def _hashmix(value, const: int, mult: int = _MULT_A):
-    """SeedSequence's hash of one word (int or uint32 array): (hashed word, next const)."""
-    value = value ^ const
-    const = (const * mult) & _MASK32
-    value = (value * const) & _MASK32
-    return value ^ (value >> _XSHIFT), const
-
-
-def _mix(x, y):
-    """SeedSequence's mix of a pool word x with a hashed word y (ints or uint32 arrays)."""
-    result = (((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)) & _MASK32
-    return result ^ (result >> _XSHIFT)
-
-
-def _philox_keys(seed: int, ts) -> np.ndarray:
-    """Philox keys of rng_stream(seed, t) for each t, as a (len(ts), 2) uint64 array.
-
-    Row j equals SeedSequence(seed, spawn_key=(ts[j],)).generate_state(2,
-    np.uint64).  The entropy is the seed's uint32 words, low first, padded
-    with zeros to the pool size, then the one word t (so 0 <= t < 2^32).
-    The pool left by the seed words is the same for every t, so it is
-    hashed once, in ints; only the t word is mixed in as an array.
-    """
-    ts = np.asarray(ts, dtype=np.uint64)
-    if ts.size and int(ts.max()) > _MASK32:
-        raise InvalidParameterError("stream index t must be < 2^32")
-    seed = int(seed)
-    words = [(seed >> shift) & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (_POOL_SIZE - len(words)) + [ts.astype(np.uint32)]
-    const = _INIT_A
-    pool = []
-    for word in words[:_POOL_SIZE]:
-        value, const = _hashmix(word, const)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], value)
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            value, const = _hashmix(word, const)
-            pool[dst] = _mix(pool[dst], value)
-    # generate_state(2, np.uint64): four hashed pool words, paired low word first.
-    const = _INIT_B
-    out = []
-    for value in pool:
-        value, const = _hashmix(value, const, _MULT_B)
-        out.append(value.astype(np.uint64))
-    return np.stack([out[0] | (out[1] << 32), out[2] | (out[3] << 32)], axis=-1)
-
-
-def _stream_series(seed: int, count: int):
-    """Yield rng_stream(seed, t) for t = 0, ..., count - 1 from one generator.
-
-    Each yielded generator is the same object, rekeyed to {counter: 0,
-    key: k_t} before it is yielded, so it draws exactly what a fresh
-    rng_stream(seed, t) would; it is valid until the next one is taken.
-    Keys are derived _CHUNK at a time.
-    """
-    gen = rng_stream(seed, 0)
-    bit_gen = gen.bit_generator
-    state = bit_gen.state
-    for start in range(0, count, _CHUNK):
-        for key in _philox_keys(seed, np.arange(start, min(start + _CHUNK, count))):
-            state["state"]["key"] = key
-            bit_gen.state = state
-            yield gen
 
 
 def _sub_seed(master: int, *path: int) -> int:

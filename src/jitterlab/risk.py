@@ -188,8 +188,10 @@ def dual_values_batch(estimator: LinearEstimator, v: np.ndarray, eps: float) -> 
     EvaluationError rather than returning a best-so-far value.
     """
     v = np.asarray(v, dtype=float)
-    if v.ndim != 2:
-        raise InvalidDimensionError("batch residuals must be n x N")
+    if v.ndim != 2 or v.shape[0] != estimator.shape[0]:
+        raise InvalidDimensionError(
+            f"batch residuals {v.shape} are not n x N for estimator {estimator.shape}"
+        )
     if eps < 0:
         raise InvalidParameterError(f"eps must be >= 0, got {eps}")
     vnorm2 = (v * v).sum(axis=0)
@@ -399,6 +401,7 @@ def best_jitter_level_analytic(
     sigma_z = s = 0, in which the weakest modes, tied to working
     precision, take the whole budget eps.
     """
+    _check_triple(model, op, noise)
     _, lam, _ = op.au_svd(model)
     d, m, sc2 = model.d, noise.m, model.sigma_c**2
     s2, z2 = sc2 / d, noise.sigma_z**2 / m

@@ -19,14 +19,14 @@ deterministic given the config seed.
 One loop trains a stack of K runs in lockstep: runs under one noise model
 whose configs differ only in seed, eps and sigma_w share every numpy call,
 with H, the optimizer moments, the minibatch and the PGD iterates held as
-(K, ., .) arrays.  Each run draws its own rng_stream(seed, t) into its
-slice, from one generator per run rekeyed for each t (`_stream_series`),
-and eps and sigma_w enter as per-run factors, so every run gets the bits
-of its own loop; `train` is the K = 1 case.  A run at eps = 0 or
-sigma_w = 0 is the standard objective bit for bit and trains in the
-standard stack.  At sigma_z = 0 the noise z is all zeros, so unless the
-jitter w (drawn after z) is needed, a run draws only its latents c, the
-first d * B normals of its stream.  The loop works in place on buffers
+(K, ., .) arrays.  Each run draws its latents c, noise z and jitter w
+into its slice from its own three streams, rng_stream(seed, 0), (seed, 1)
+and (seed, 2), read in order across iterations, and eps and sigma_w enter
+as per-run factors, so every run gets the bits of its own loop; `train` is
+the K = 1 case.  Since each variable has its own stream, a draw left out
+moves no other: a run at eps = 0 or sigma_w = 0 is the standard objective
+bit for bit and trains in the standard stack, and at sigma_z = 0, where
+y + 0 z is y, no run draws z.  The loop works in place on buffers
 allocated once per stack and applies a diagonal operator as a row
 scaling; all of this gives the bits of the textbook loop.
 
@@ -49,8 +49,8 @@ from .attack import pgd_perturb_batch
 from .errors import AttackDivergenceError, InvalidParameterError, TrainingDivergenceError
 from .estimators import LinearEstimator
 from .model import (
-    ForwardOperator, NoiseModel, SubspaceModel, _check_triple, _stream_series, _sub_seed,
-    draw_sample_arrays,
+    ForwardOperator, NoiseModel, SubspaceModel, _check_triple, _sub_seed, draw_sample_arrays,
+    rng_stream,
 )
 from .risk import RiskReport, _check_eval_samples, certify
 
@@ -259,15 +259,17 @@ def _train_stack(
     sgd = config.optimizer == "sgd"
     eps = np.array([run.eps for run in configs])[:, None, None]
     sigma_w = np.array([run.sigma_w for run in configs])[:, None, None]
-    streams = [_stream_series(run.seed, config.n_iterations) for run in configs]
-
-    # One draw per run and iteration fills c, z (and w) in the order of
-    # separate (d, B), (m, B), (m, B) draws, so the stream is the same.
-    draw = np.empty((k, d + m + (m if objective == "jittering" else 0), batch))
-    c, z, w = draw[:, :d], draw[:, d:d + m], draw[:, d + m:]
-    # At sigma_z = 0, y + z is y: unless w (drawn after z) is needed, only c is drawn.
-    noiseless = noise.sigma_z == 0.0 and objective != "jittering"
-    fill = c if noiseless else draw
+    # Run p draws variable j of (c, z, w) into its slice from rng_stream(seed, j):
+    # z only when sigma_z != 0, and w only for jittering runs.
+    c = np.empty((k, d, batch))
+    z = np.empty((k, m, batch)) if noise.sigma_z != 0.0 else None
+    w = np.empty((k, m, batch)) if objective == "jittering" else None
+    draws = [
+        (buf[p], rng_stream(run.seed, j))
+        for p, run in enumerate(configs)
+        for j, buf in enumerate((c, z, w))
+        if buf is not None
+    ]
     x, y = np.empty((k, n, batch)), np.empty((k, m, batch))
     resid, sq = np.empty_like(x), np.empty_like(x)
     # H, then the SGD velocity or the two adaptive moments, one slice per run.
@@ -279,8 +281,8 @@ def _train_stack(
     losses: list[list[float]] = [[] for _ in configs]
     stopped: dict[int, Exception] = {}  # stack position -> exception
     for t in range(config.n_iterations):
-        for p, stream in enumerate(streams):
-            next(stream).standard_normal(out=fill[p])
+        for out, gen in draws:
+            gen.standard_normal(out=out)
         c *= c_scale
         np.matmul(basis, c, out=x)
         if row_scale is None:
@@ -288,7 +290,7 @@ def _train_stack(
         else:
             # The zero off-diagonal terms add nothing to the matmul's sums.
             np.multiply(row_scale, x, out=y)
-        if not noiseless:
+        if z is not None:
             z *= z_scale
             y += z
 

@@ -109,8 +109,13 @@ def test_bad_list_fails_with_json_error_and_writes_nothing(tmp_path, capsys, arg
     (["large-eps", "--eval-samples", "1"], "InvalidParameterError"),
     (["sweep", "--eval-samples", "0"], "InvalidParameterError"),
     (["gap", "--eval-samples", "1"], "InvalidParameterError"),
+    (["equivalence", "--operator", "bogus"], "ConfigError"),
+    (["gap", "--operator", "bogus"], "ConfigError"),
+    (["large-eps", "--operator", "bogus"], "ConfigError"),
+    (["sweep", "--operator", "bogus"], "ConfigError"),
 ], ids=["negative-seed", "zero-sigma-c", "large-eps-zero-sigma-c", "equivalence-one-sample",
-        "large-eps-one-sample", "sweep-no-sample", "gap-one-sample"])
+        "large-eps-one-sample", "sweep-no-sample", "gap-one-sample", "equivalence-bogus-operator",
+        "gap-bogus-operator", "large-eps-bogus-operator", "sweep-bogus-operator"])
 def test_bad_value_fails_with_one_json_line_and_writes_nothing(tmp_path, capfd, args, error):
     # capfd, not capsys: gap's forked workers write to the file descriptor.
     # The case's flag comes last, so that it overrides the small sizes.

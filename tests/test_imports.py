@@ -1,4 +1,5 @@
-"""The package imports only the standard library, numpy and itself."""
+"""The package imports only the standard library, numpy and itself, and
+keeps every name the benchmark's per-call block reads."""
 
 import ast
 import sys
@@ -30,3 +31,18 @@ def test_package_imports_only_stdlib_and_numpy():
         if root not in allowed
     ]
     assert strays == []
+
+
+def test_micro_benchmark_reads_only_names_the_package_has():
+    # perfbench/micro.py reads the package as `jl`; a pruned name would
+    # break the benchmark's per-call block, not this suite, without this check.
+    micro = Path(__file__).resolve().parents[1] / "perfbench" / "micro.py"
+    tree = ast.parse(micro.read_text(encoding="utf-8"))
+    names = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name) and node.value.id == "jl"
+    }
+    assert names
+    assert sorted(name for name in names if not hasattr(jitterlab, name)) == []

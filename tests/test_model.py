@@ -12,15 +12,13 @@ from jitterlab.model import (
     ForwardOperator,
     NoiseModel,
     SubspaceModel,
-    _philox_keys,
-    _stream_series,
     draw_latents,
     draw_sample_arrays,
     make_diagonal_operator,
     make_subspace,
     rng_stream,
 )
-from jitterlab.risk import jittering_risk_closed_form
+from jitterlab.risk import best_jitter_level_analytic, jittering_risk_closed_form
 from jitterlab.training import TrainConfig, train
 
 
@@ -89,36 +87,6 @@ def test_rng_stream_path_separation():
     assert not np.array_equal(a, b)
     a2 = rng_stream(0, 1).standard_normal(4)
     assert np.array_equal(a, a2)
-
-
-@pytest.mark.parametrize("seed", [5, 2**32 + 9, 2**140 + 3], ids=["1-word", "2-words", "5-words"])
-def test_philox_keys_are_the_seed_sequence_keys(seed):
-    # Seeds of 1, 2 and 5 uint32 words: padded to the pool, and past it.
-    ts = [0, 1, 4095, 2**32 - 1]
-    keys = _philox_keys(seed, ts)
-    assert keys.shape == (4, 2) and keys.dtype == np.uint64
-    gen = rng_stream(seed, 0)
-    state = gen.bit_generator.state
-    for t, key in zip(ts, keys):
-        expected = np.random.SeedSequence(seed, spawn_key=(t,)).generate_state(2, np.uint64)
-        assert np.array_equal(key, expected)
-        gen.standard_normal(3)  # leave the generator mid-stream before the reset
-        state["state"]["key"] = key
-        gen.bit_generator.state = state
-        assert np.array_equal(gen.standard_normal(20), rng_stream(seed, t).standard_normal(20))
-    with pytest.raises(InvalidParameterError):
-        _philox_keys(seed, [2**32])
-
-
-def test_stream_series_draws_each_iterations_stream():
-    count = 4100  # crosses the key chunk at t = 4096
-    draws = {}
-    for t, gen in enumerate(_stream_series(11, count)):
-        if t in (0, 1, 4095, 4096, count - 1):
-            draws[t] = gen.standard_normal(7)
-    assert t == count - 1
-    for t, values in draws.items():
-        assert np.array_equal(values, rng_stream(11, t).standard_normal(7))
 
 
 def test_draw_sample_arrays_consistency():
@@ -192,6 +160,8 @@ _TRIPLE_CALLERS = {
         lambda model, op, noise: optimal_jittering_estimator(model, op, noise, 0.1),
     "conjectured_robust_estimator":
         lambda model, op, noise: conjectured_robust_estimator(model, op, noise, 0.1),
+    "best_jitter_level_analytic":
+        lambda model, op, noise: best_jitter_level_analytic(model, op, noise, 0.1),
     # the estimator has the model's n rows and the noise's m columns, so only
     # the operator can be at fault
     "jittering_risk_closed_form": lambda model, op, noise: jittering_risk_closed_form(

@@ -323,6 +323,18 @@ def test_certify_rejects_mismatched_or_short_input():
         certify(est, x, y, [0.1, -0.2])
 
 
+@pytest.mark.parametrize("eps", [0.0, 0.3])
+def test_dual_rejects_residuals_of_the_wrong_length(eps):
+    # A 7-vector against a 20 x 20 estimator: at eps = 0 it used to return
+    # ||v||^2, at eps > 0 numpy's bare ValueError.
+    est = LinearEstimator.from_matrix(np.diag(np.linspace(1.0, 0.1, 20)))
+    v = np.ones(7)
+    with pytest.raises(InvalidDimensionError):
+        dual_values_batch(est, v[:, None], eps)
+    with pytest.raises(InvalidDimensionError):
+        inner_max_dual(est, v, eps)
+
+
 def test_ci_is_066_scaled_standard_error():
     model, op, noise = _setup()
     est = mmse_estimator(model, op, noise)

@@ -180,29 +180,43 @@ def test_sweep_names_the_first_failing_row(monkeypatch, cpus):
 
 
 def test_jitter_noise_shares_stream_with_batch():
-    # jittering at sigma_w=0 must reproduce the standard run bit for bit
+    # jittering at sigma_w=0 must reproduce the standard run bit for bit, also
+    # in the textbook loop, which draws w and adds 0 w
     model, op, noise = _setup()
-    a = train(model, op, noise, TrainConfig(objective="standard", n_iterations=400, seed=9))
-    b = train(
-        model, op, noise,
-        TrainConfig(objective="jittering", sigma_w=0.0, n_iterations=400, seed=9),
-    )
-    assert np.max(np.abs(a.estimator.matrix - b.estimator.matrix)) < 1e-12
+    standard = TrainConfig(objective="standard", n_iterations=400, seed=9)
+    jitter = replace(standard, objective="jittering", sigma_w=0.0)
+    a = train(model, op, noise, standard)
+    b = train(model, op, noise, jitter)
+    assert np.array_equal(a.estimator.matrix, b.estimator.matrix)
+    assert np.array_equal(a.estimator.matrix, _reference_train(model, op, noise, jitter))
+
+
+@pytest.mark.parametrize("objective", ["standard", "adversarial", "jittering"])
+def test_training_prefix_is_stable(objective):
+    # A run's first iterations do not depend on how many follow them.
+    model, op, noise = _setup(n=12, d=4)
+    cfg = TrainConfig(objective=objective, eps=0.2, sigma_w=0.2, n_iterations=200,
+                      record_every=50, seed=5)
+    short = train(model, op, noise, cfg)
+    long = train(model, op, noise, replace(cfg, n_iterations=400))
+    assert list(short.iterations[:4]) == list(long.iterations[:4]) == [0, 50, 100, 150]
+    assert np.array_equal(short.losses[:4], long.losses[:4])
 
 
 def _reference_train(model, op, noise, config):
-    # The textbook loop: separate draws, dense A, out-of-place optimizer steps.
+    # The textbook loop: every draw taken, dense A, out-of-place optimizer steps.
     n, m, d = model.n, noise.m, model.d
     batch = config.batch_size
     h, vel, mom1, mom2 = (np.zeros((n, m)) for _ in range(4))
+    gen_c, gen_z, gen_w = (rng_stream(config.seed, j) for j in range(3))
     for t in range(config.n_iterations):
-        g = rng_stream(config.seed, t)
-        c = model.sigma_c / np.sqrt(d) * g.standard_normal((d, batch))
-        z = noise.per_coordinate_std * g.standard_normal((m, batch))
+        c = model.sigma_c / np.sqrt(d) * gen_c.standard_normal((d, batch))
+        z = noise.per_coordinate_std * gen_z.standard_normal((m, batch))
+        w = gen_w.standard_normal((m, batch))
         x = model.basis @ c
         y = op.matrix @ x + z
         if config.objective == "jittering":
-            yt = y + config.sigma_w * g.standard_normal((m, batch))
+            yt = y + config.sigma_w * w
         elif config.objective == "adversarial":
             yt = y + pgd_perturb_batch(h, x, y, config.eps, config.attack_steps)
         else:
@@ -225,7 +239,8 @@ def _reference_train(model, op, noise, config):
 @pytest.mark.parametrize("objective", ["standard", "adversarial", "jittering"])
 def test_train_bit_identical_to_reference_loop(spectrum, optimizer, objective):
     # Alone and as one run of a lockstep stack, each run gets the textbook bits,
-    # also at sigma_z = 0, where only jittering draws the (zero) noise z.
+    # also at sigma_z = 0, where training skips the draw of z that the textbook
+    # loop scales by 0.
     for sigma_z in (0.4, 0.0):
         model, op, noise = _setup(n=12, d=4, sigma_z=sigma_z, spectrum=spectrum)
         cfg = TrainConfig(
