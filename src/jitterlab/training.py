@@ -28,12 +28,13 @@ moves no other: a run at eps = 0 or sigma_w = 0 is the standard objective
 bit for bit and trains in the standard stack, and at sigma_z = 0, where
 y + 0 z is y, no run draws z.  The loop works in place on buffers
 allocated once per stack and applies a diagonal operator as a row
-scaling; all of this gives the bits of the textbook loop.
+scaling; all of this gives the bits of the textbook loop.  A run whose
+loss is not finite leaves the stack at that iteration; the others go on.
 
-Runs with distinct seeds are independent, so the drivers spread them over
-forked workers with `_train_map`, each run under its own noise model:
-each worker trains its share of the runs in stacks, then finishes
-(certifies) them in order.  Results do not depend on the worker count.
+Runs with distinct seeds are independent, so `_train_map` spreads the
+drivers' runs, each under its own noise model, over this process and
+forked workers: each process trains its share in stacks, then finishes
+(certifies) it in order.  Results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -74,13 +75,6 @@ def _run_share(fn, share: list) -> tuple[list, Exception | None]:
     return values, None
 
 
-def _run_whole(run_share, items: list) -> list:
-    values, exc = run_share(items)
-    if exc is not None:
-        raise exc
-    return values
-
-
 def _fork_worker(run_share, share: list, conn) -> None:
     conn.send(run_share(share))
     conn.close()
@@ -95,45 +89,46 @@ def _fork_map(fn, items) -> list:
 def _map_shares(run_share, order) -> list:
     """Results for items 0, ..., N - 1, in shares run by this process and forked children.
 
-    order lists the N item indices.  One process per CPU this process may
-    run on, capped at N; process k of P takes order[k::P], so items next to
-    each other in order go to different processes.  run_share(share) gets
-    a share's indices in ascending order and returns (values, exc): the
-    results for a prefix of share, and the exception that stopped it there,
-    or None.  Only results and exceptions cross the pipes (pickled), so
-    run_share may be a closure over data the caller prepared before the
-    call.  The exception of the first failing item in item order is
-    raised, as the plain loop would raise it.  Runs all items as one share
-    in this process on one CPU, for one item, where the platform has no CPU
-    affinity or no fork start method, or when called from inside a share.
+    order lists the N item indices, dealt round-robin over P processes, so
+    items next to each other in order go to different processes.  P is one
+    per CPU this process may run on, capped at N; it is 1 on a platform
+    with no CPU affinity or no fork start method, and when called from
+    inside a share.  This process runs order[P - 1::P], the smallest
+    share, since it also forks, joins and writes the output.
+    run_share(share) gets a share's indices in ascending order and returns
+    (values, exc): the results for a prefix of share, and the exception
+    that stopped it there, or None.  Only results and exceptions cross the
+    pipes (pickled), so run_share may be a closure over data the caller
+    prepared before the call.  The exception of the first failing item in
+    item order is raised, as the plain loop would raise it.
     """
     global _mapping
     order = list(order)
     # sched_getaffinity is Linux-only; elsewhere (macOS forks unsafely once its
     # system frameworks run threads) the loop stays serial.
     affinity = getattr(os, "sched_getaffinity", lambda pid: {0})
-    procs = min(len(affinity(0)), len(order))
-    if procs < 2 or _mapping:
-        return _run_whole(run_share, sorted(order))
-    import multiprocessing  # lazily: only runs that fork pay for the import
+    procs = 1 if _mapping else max(1, min(len(affinity(0)), len(order)))
+    if procs > 1:
+        import multiprocessing  # lazily: only runs that fork pay for the import
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return _run_whole(run_share, sorted(order))
-    # fork, not spawn: workers see run_share's closure and its arrays
-    # copy-on-write, with no re-import and no pickled inputs.
-    ctx = multiprocessing.get_context("fork")
+        if "fork" in multiprocessing.get_all_start_methods():
+            # fork, not spawn: workers see run_share's closure and its arrays
+            # copy-on-write, with no re-import and no pickled inputs.
+            ctx = multiprocessing.get_context("fork")
+        else:
+            procs = 1
     shares = [sorted(order[k::procs]) for k in range(procs)]
     workers = []
-    done = []  # (values, exc) per share, this process's first
-    _mapping = True
+    done = []  # (values, exc) per share, in share order
+    outer, _mapping = _mapping, True
     try:
-        for k in range(1, procs):
+        for share in shares[:-1]:
             recv, send = ctx.Pipe(duplex=False)
-            worker = ctx.Process(target=_fork_worker, args=(run_share, shares[k], send))
+            worker = ctx.Process(target=_fork_worker, args=(run_share, share, send))
             worker.start()
             send.close()
             workers.append((worker, recv))
-        done.append(run_share(shares[0]))
+        own = run_share(shares[-1])
         for worker, recv in workers:
             try:
                 done.append(recv.recv())
@@ -142,8 +137,9 @@ def _map_shares(run_share, order) -> list:
                 raise ChildProcessError(
                     f"fork-map worker exited with code {worker.exitcode} before sending results"
                 ) from None
+        done.append(own)
     finally:
-        _mapping = False
+        _mapping = outer  # a nested call keeps the outer call's flag
         for worker, recv in workers:
             if len(done) < procs:
                 worker.terminate()  # the map is failing: stop workers still running
@@ -238,9 +234,9 @@ def _train_stack(
     """Train runs with one _stack_key in lockstep: one outcome per config, in order.
 
     An outcome is the run's TrainTrace, or the exception that stopped it:
-    TrainingDivergenceError at a non-finite loss, or AttackDivergenceError.
-    When runs stop, the others train again without them, so each run's
-    outcome is that of its own loop.
+    AttackDivergenceError if its own attack fails, else TrainingDivergenceError
+    at a non-finite loss.  A stopped run's slices leave the stack and the
+    others go on, so each run's outcome is that of its own loop.
     """
     _check_triple(model, op, noise)
     config = _stack_key(configs[0])
@@ -264,11 +260,9 @@ def _train_stack(
     c = np.empty((k, d, batch))
     z = np.empty((k, m, batch)) if noise.sigma_z != 0.0 else None
     w = np.empty((k, m, batch)) if objective == "jittering" else None
-    draws = [
-        (buf[p], rng_stream(run.seed, j))
-        for p, run in enumerate(configs)
-        for j, buf in enumerate((c, z, w))
-        if buf is not None
+    streams = [
+        [(j, rng_stream(run.seed, j)) for j, buf in enumerate((c, z, w)) if buf is not None]
+        for run in configs
     ]
     x, y = np.empty((k, n, batch)), np.empty((k, m, batch))
     resid, sq = np.empty_like(x), np.empty_like(x)
@@ -276,13 +270,15 @@ def _train_stack(
     h, *moments = np.zeros((2 if sgd else 3, k, n, m))
     grad, step = np.empty_like(h), np.empty_like(h)
 
+    live = list(range(k))  # the config index of each slice
+    outcomes: list[TrainTrace | Exception | None] = [None] * k
     ema = None
     its: list[int] = []
     losses: list[list[float]] = [[] for _ in configs]
-    stopped: dict[int, Exception] = {}  # stack position -> exception
     for t in range(config.n_iterations):
-        for out, gen in draws:
-            gen.standard_normal(out=out)
+        for p, run_streams in enumerate(streams):
+            for j, gen in run_streams:
+                gen.standard_normal(out=(c, z, w)[j][p])
         c *= c_scale
         np.matmul(basis, c, out=x)
         if row_scale is None:
@@ -302,16 +298,15 @@ def _train_stack(
             try:
                 yt = pgd_perturb_batch(h, x, y, eps, steps)
             except AttackDivergenceError:
-                # The failure belongs to the runs whose own attack fails.
-                for p in range(k):
-                    alone = slice(p, p + 1)
+                # Each run's own attack decides: a failing run keeps its error
+                # and a NaN yt, whose loss stops it below.
+                yt = np.full_like(y, np.nan)
+                for p, i in enumerate(live):
+                    one = slice(p, p + 1)
                     try:
-                        pgd_perturb_batch(h[alone], x[alone], y[alone], eps[alone], steps)
+                        yt[one] = pgd_perturb_batch(h[one], x[one], y[one], eps[one], steps)
                     except AttackDivergenceError as exc:
-                        stopped[p] = exc
-                if not stopped:
-                    raise
-                break
+                        outcomes[i] = exc
             yt += y
         else:
             yt = y
@@ -320,22 +315,31 @@ def _train_stack(
         resid -= x
         with np.errstate(over="ignore"):  # overflow IS the divergence signal
             np.multiply(resid, resid, out=sq)
-            loss = sq.reshape(k, -1).sum(axis=1) / batch
+            loss = sq.reshape(len(live), -1).sum(axis=1) / batch
         finite = np.isfinite(loss)
         if not finite.all():
             for p in np.flatnonzero(~finite):
-                exc = TrainingDivergenceError(f"non-finite loss at iteration {t}")
-                exc.trace = TrainTrace(
-                    iterations=np.array(its), losses=np.array(losses[p]),
-                    estimator=LinearEstimator.from_matrix(np.nan_to_num(h[p])),
-                )
-                stopped[int(p)] = exc
-            break
+                if outcomes[live[p]] is None:
+                    exc = TrainingDivergenceError(f"non-finite loss at iteration {t}")
+                    exc.trace = TrainTrace(
+                        iterations=np.array(its), losses=np.array(losses[live[p]]),
+                        estimator=LinearEstimator.from_matrix(np.nan_to_num(h[p])),
+                    )
+                    outcomes[live[p]] = exc
+            keep = np.flatnonzero(finite)
+            live, streams = [live[p] for p in keep], [streams[p] for p in keep]
+            if not live:
+                break
+            h, eps, sigma_w, c, z, w, x, y, yt, resid, sq, loss, ema, *moments = (
+                None if a is None else a[keep]
+                for a in (h, eps, sigma_w, c, z, w, x, y, yt, resid, sq, loss, ema, *moments)
+            )
+            grad, step = np.empty_like(h), np.empty_like(h)
         ema = loss if ema is None else 0.99 * ema + 0.01 * loss
         if t % config.record_every == 0 or t == config.n_iterations - 1:
             its.append(t)
-            for history, value in zip(losses, ema.tolist()):
-                history.append(value)
+            for i, value in zip(live, ema.tolist()):
+                losses[i].append(value)
 
         np.matmul(resid, np.swapaxes(yt, -1, -2), out=grad)
         grad *= 2.0 / batch
@@ -363,17 +367,12 @@ def _train_stack(
             step /= denom
             h -= step
 
-    if not stopped:
-        return [
-            TrainTrace(
-                iterations=np.array(its), losses=np.array(losses[p]),
-                estimator=LinearEstimator.from_matrix(h[p]),
-            )
-            for p in range(k)
-        ]
-    others = [run for p, run in enumerate(configs) if p not in stopped]
-    rest = iter(_train_stack(model, op, noise, others) if others else [])
-    return [stopped[p] if p in stopped else next(rest) for p in range(k)]
+    for p, i in enumerate(live):
+        outcomes[i] = TrainTrace(
+            iterations=np.array(its), losses=np.array(losses[i]),
+            estimator=LinearEstimator.from_matrix(h[p]),
+        )
+    return outcomes
 
 
 def _outcome(run: TrainTrace | Exception) -> TrainTrace:

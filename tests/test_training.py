@@ -15,7 +15,7 @@ from jitterlab.estimators import (
 )
 from jitterlab.estimators import LinearEstimator
 from jitterlab.model import (
-    NoiseModel, _sub_seed, make_diagonal_operator, make_subspace, rng_stream,
+    ForwardOperator, NoiseModel, _sub_seed, make_diagonal_operator, make_subspace, rng_stream,
 )
 from jitterlab.training import (
     _MAX_STACK, TrainConfig, TrainTrace, _fork_map, _train_map, _train_runs, _train_stack,
@@ -234,15 +234,21 @@ def _reference_train(model, op, noise, config):
     return h
 
 
-@pytest.mark.parametrize("spectrum", ["identity", "linear-decay"])
+@pytest.mark.parametrize("spectrum", ["identity", "linear-decay", "dense-9x12"])
 @pytest.mark.parametrize("optimizer", ["adaptive", "sgd"])
 @pytest.mark.parametrize("objective", ["standard", "adversarial", "jittering"])
 def test_train_bit_identical_to_reference_loop(spectrum, optimizer, objective):
     # Alone and as one run of a lockstep stack, each run gets the textbook bits,
     # also at sigma_z = 0, where training skips the draw of z that the textbook
-    # loop scales by 0.
+    # loop scales by 0.  The dense 9 x 12 operator takes the matmul branch
+    # and has m != n.
     for sigma_z in (0.4, 0.0):
-        model, op, noise = _setup(n=12, d=4, sigma_z=sigma_z, spectrum=spectrum)
+        if spectrum == "dense-9x12":
+            model, _, _ = _setup(n=12, d=4)
+            op = ForwardOperator(rng_stream(3, 0).standard_normal((9, 12)) / 3)
+            noise = NoiseModel(m=9, sigma_z=sigma_z)
+        else:
+            model, op, noise = _setup(n=12, d=4, sigma_z=sigma_z, spectrum=spectrum)
         cfg = TrainConfig(
             objective=objective, eps=0.3, sigma_w=0.2, optimizer=optimizer,
             lr=1e-3 if optimizer == "adaptive" else 0.02, momentum=0.5,
@@ -328,6 +334,30 @@ def test_diverging_stack_member_stops_alone(objective):
         assert np.array_equal(run.estimator.matrix, own.estimator.matrix)
 
 
+def test_diverging_stack_member_trains_no_run_twice(monkeypatch):
+    # The stack goes on without its diverged member: one call trains every
+    # run, and the survivors end with the bits of their own loops.
+    model, op, noise = _setup()
+    configs = _diverging()
+    calls = []
+    stack = jitterlab.training._train_stack
+
+    def counted(*args):
+        calls.append(args)
+        return stack(*args)
+
+    monkeypatch.setattr(jitterlab.training, "_train_stack", counted)
+    with np.errstate(all="ignore"):  # the diverging run overflows on purpose
+        runs = jitterlab.training._train_stack(model, op, noise, configs)
+    assert len(calls) == 1
+    assert [type(run) for run in runs] == [TrainTrace, TrainingDivergenceError, TrainTrace]
+    for config, run in zip(configs, runs):
+        if isinstance(run, TrainTrace):
+            alone = train(model, op, noise, config)
+            assert np.array_equal(run.losses, alone.losses)
+            assert np.array_equal(run.estimator.matrix, alone.estimator.matrix)
+
+
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
 def test_train_map_raises_the_first_failing_run(monkeypatch, cpus):
     # Runs 1 and 3 diverge.  Whether the runs stack in one process or two,
@@ -376,9 +406,17 @@ def test_fork_map_matches_plain_loop_in_order(monkeypatch):
         assert np.array_equal(a, b)
     pairs = _fork_map(_pid_of, items)
     assert [item for item, _ in pairs] == items
-    # item k runs in process k mod 2: the parent takes the even items
-    assert {pid for item, pid in pairs if item % 2 == 0} == {os.getpid()}
-    assert {pid for item, pid in pairs if item % 2 == 1} - {os.getpid()}
+    # item k runs in process k mod 2: the parent takes the last, smaller share,
+    # the odd items
+    assert {pid for item, pid in pairs if item % 2 == 1} == {os.getpid()}
+    assert {pid for item, pid in pairs if item % 2 == 0} - {os.getpid()}
+    # three processes: shares {0, 3, 6}, {1, 4} and the parent's {2, 5}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    pairs = _fork_map(_pid_of, items)
+    assert [item for item, _ in pairs] == items
+    pids = [pid for _, pid in pairs]
+    assert [item for item, pid in pairs if pid == os.getpid()] == [2, 5]
+    assert pids[0] == pids[3] == pids[6] != pids[1] == pids[4] != os.getpid()
     assert multiprocessing.active_children() == []
 
 
@@ -393,9 +431,14 @@ def _diverge(item, failing):
     return item
 
 
-@pytest.mark.parametrize("failing", [{3, 4}, {2, 5}, {5}], ids=["worker-first", "parent-first", "worker-only"])
-def test_fork_map_raises_first_failing_item(monkeypatch, failing):
-    _two_cpus(monkeypatch)
+@pytest.mark.parametrize(
+    ("cpus", "failing"),
+    [({0, 1}, {2, 5}), ({0, 1}, {3, 4}), ({0, 1}, {6}), ({0}, {3, 4})],
+    ids=["worker-first", "parent-first", "worker-only", "one-cpu"],
+)
+def test_fork_map_raises_first_failing_item(monkeypatch, cpus, failing):
+    # With two CPUs the worker takes the even items and the parent the odd ones.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     first = min(failing)
     with pytest.raises(TrainingDivergenceError, match=f"item {first}$") as info:
         _fork_map(lambda item: _diverge(item, failing), range(8))
@@ -417,13 +460,13 @@ def test_fork_map_single_cpu_runs_in_process(monkeypatch, affinity):
 def test_fork_map_reports_a_dead_worker(monkeypatch):
     _two_cpus(monkeypatch)
 
-    def die_on_odd(item):
-        if item % 2:
+    def die_on_even(item):  # the worker's items: the parent runs the odd ones
+        if item % 2 == 0:
             os._exit(3)
         return item
 
     with pytest.raises(ChildProcessError, match="code 3"):
-        _fork_map(die_on_odd, range(4))
+        _fork_map(die_on_even, range(4))
     assert multiprocessing.active_children() == []
 
 
