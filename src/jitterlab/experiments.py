@@ -148,7 +148,7 @@ COMMAND_DEFAULTS: dict[str, dict] = {
     "large-eps": {
         **_COMMON_DEFAULTS,
         "sigma_c": float(np.sqrt(50.0)),
-        "sigma_z": 0.0,  # superseded per noise level
+        "sigma_z": 0.0,  # must stay 0: each noise level sets its own
         "noise_levels": (0.0, 0.5, 1.5),
         "eps_sq_rel_grid": (0.0, 0.25, 0.5, 0.75, 1.0, 1.2, 1.5),
     },
@@ -196,6 +196,8 @@ def resolve_config(command: str, raw_items: dict[str, str]) -> dict:
             raise ConfigError(f"bad value for {key!r}: {text!r} ({exc})") from exc
         if cfg[key] == () and key != "sigma_w_grid":  # an empty sigma_w_grid means auto
             raise ConfigError(f"{key!r} needs at least one value")
+    if "noise_levels" in cfg and cfg["sigma_z"] != 0.0:  # the levels set each run's noise
+        raise ConfigError(f"sigma_z must be 0 for {command!r}, which reads noise_levels")
     if "n" in raw_items and "m" not in raw_items:
         cfg["m"] = cfg["n"]  # measurement count tracks n unless set explicitly
     return cfg
@@ -400,7 +402,7 @@ def cmd_large_eps(cfg: dict) -> str:
     sigma_c = cfg["sigma_c"]
     if not sigma_c > 0:  # eps = sqrt(eps_sq_rel) * sigma_c would all be 0
         raise InvalidParameterError(f"need sigma_c > 0, got {sigma_c}")
-    model, op, _ = _build_setup(dict(cfg, sigma_z=0.0))  # each level sets its own sigma_z
+    model, op, _ = _build_setup(cfg)  # each level sets its own sigma_z
     levels = cfg["noise_levels"]
     noises = [NoiseModel(m=cfg["m"], sigma_z=float(level * np.sqrt(cfg["n"]))) for level in levels]
     jobs = []  # (level index, eps_sq_rel, eps, config), level by level

@@ -8,7 +8,8 @@ overfitting).  Per-sample gradients of the squared error:
     standard     2 (H y - x) y'
     adversarial  2 (H yt - x) yt',  yt = y + PGD perturbation (training mode:
                  few steps, no restarts, start at zero)
-    jittering    2 (H (y+w) - x) (y+w)',  fresh w ~ N(0, sigma_w^2 I)
+    jittering    standard on y + w, fresh w ~ N(0, sigma_w^2 I): y + w = Ax + (z + w)
+                 is one noise draw at per-coordinate variance sigma_z^2 / m + sigma_w^2
 
 Optimizers are implemented from scratch: plain SGD with momentum, and the
 adaptive (Adam-style) rule with bias-corrected first/second moments at the
@@ -19,14 +20,14 @@ deterministic given the config seed.
 One loop trains a stack of K runs in lockstep: runs under one noise model
 whose configs differ only in seed, eps and sigma_w share every numpy call,
 with H, the optimizer moments, the minibatch and the PGD iterates held as
-(K, ., .) arrays.  Each run draws its latents c, noise z and jitter w
-into its slice from its own three streams, rng_stream(seed, 0), (seed, 1)
-and (seed, 2), read in order across iterations, and eps and sigma_w enter
-as per-run factors, so every run gets the bits of its own loop; `train` is
-the K = 1 case.  Since each variable has its own stream, a draw left out
-moves no other: a run at eps = 0 or sigma_w = 0 is the standard objective
-bit for bit and trains in the standard stack, and at sigma_z = 0, where
-y + 0 z is y, no run draws z.  The loop works in place on buffers
+(K, ., .) arrays.  Each run draws its latents c and its noise into its
+slice from its own two streams, rng_stream(seed, 0) and (seed, 1), read in
+order across iterations, and eps and the noise scale enter as per-run
+factors, so every run gets the bits of its own loop; `train` is the K = 1
+case.  Since each variable has its own stream, a draw left out moves no
+other: a jittering run is a standard run on noisier data and trains in the
+standard stack, as does an adversarial run at eps = 0, and a run whose
+noise scale is 0 draws no noise.  The loop works in place on buffers
 allocated once per stack and applies a diagonal operator as a row
 scaling; all of this gives the bits of the textbook loop.  A run whose
 loss is not finite leaves the stack at that iteration; the others go on.
@@ -162,9 +163,9 @@ class TrainConfig:
     """Objective, optimizer, and budget for one training run.
 
     objective selects the gradient rule; eps feeds "adversarial" and
-    sigma_w feeds "jittering" (each ignored otherwise).  attack_steps is
-    the training-mode PGD budget, taken at pgd_perturb_batch's default step
-    scale.
+    sigma_w feeds "jittering" as extra input noise (each ignored
+    otherwise).  attack_steps is the training-mode PGD budget, taken at
+    pgd_perturb_batch's default step scale.
     """
 
     objective: str = "standard"
@@ -214,13 +215,11 @@ class TrainTrace:
 def _stack_key(config: TrainConfig) -> TrainConfig:
     """What the runs of one lockstep stack share: every field but seed, eps and sigma_w.
 
-    A run at eps = 0 (adversarial) or sigma_w = 0 (jittering) is the
-    standard objective bit for bit, since yt = y + 0, so it keys as standard.
+    A jittering run is the standard objective on noisier data, and an
+    adversarial run at eps = 0 is it bit for bit (yt = y + 0): both key as standard.
     """
     objective = config.objective
-    if (objective, config.eps) == ("adversarial", 0.0) or (
-        (objective, config.sigma_w) == ("jittering", 0.0)
-    ):
+    if objective == "jittering" or (objective, config.eps) == ("adversarial", 0.0):
         objective = "standard"
     return replace(config, objective=objective, seed=0, eps=0.0, sigma_w=0.0)
 
@@ -241,7 +240,7 @@ def _train_stack(
     _check_triple(model, op, noise)
     config = _stack_key(configs[0])
     if any(_stack_key(other) != config for other in configs):
-        raise InvalidParameterError("stacked runs may differ only in seed, eps and sigma_w")
+        raise InvalidParameterError("stacked runs must share one _stack_key")
     n, m, d = model.n, noise.m, model.d
     k, batch = len(configs), config.batch_size
     basis = model.basis
@@ -249,20 +248,21 @@ def _train_stack(
     a_diag = np.diagonal(a_mat)
     row_scale = a_diag[:, None] if np.array_equal(a_mat, np.diag(a_diag)) else None
     c_scale = model.sigma_c / np.sqrt(d)
-    z_scale = noise.per_coordinate_std
-    objective = config.objective
+    adversarial = config.objective == "adversarial"
     steps = config.attack_steps
     sgd = config.optimizer == "sgd"
     eps = np.array([run.eps for run in configs])[:, None, None]
-    sigma_w = np.array([run.sigma_w for run in configs])[:, None, None]
-    # Run p draws variable j of (c, z, w) into its slice from rng_stream(seed, j):
-    # z only when sigma_z != 0, and w only for jittering runs.
+    # y + w = Ax + (z + w): a run's noise has per-coordinate variance sigma_z^2 / m
+    # + sigma_w^2, with sigma_w = 0 unless it jitters (sqrt(s^2) is s exactly).  Run
+    # p draws c into its slice from rng_stream(seed, 0) and, at a non-zero scale,
+    # z from (seed, 1); a slice that draws nothing stays 0.
+    sigma_w = [run.sigma_w if run.objective == "jittering" else 0.0 for run in configs]
+    z_scale = np.sqrt(noise.per_coordinate_std**2 + np.square(sigma_w))[:, None, None]
     c = np.empty((k, d, batch))
-    z = np.empty((k, m, batch)) if noise.sigma_z != 0.0 else None
-    w = np.empty((k, m, batch)) if objective == "jittering" else None
+    z = np.zeros((k, m, batch)) if z_scale.any() else None
     streams = [
-        [(j, rng_stream(run.seed, j)) for j, buf in enumerate((c, z, w)) if buf is not None]
-        for run in configs
+        [rng_stream(run.seed, j) for j in range(2 if scale else 1)]
+        for run, scale in zip(configs, z_scale.ravel())
     ]
     x, y = np.empty((k, n, batch)), np.empty((k, m, batch))
     resid, sq = np.empty_like(x), np.empty_like(x)
@@ -277,8 +277,8 @@ def _train_stack(
     losses: list[list[float]] = [[] for _ in configs]
     for t in range(config.n_iterations):
         for p, run_streams in enumerate(streams):
-            for j, gen in run_streams:
-                gen.standard_normal(out=(c, z, w)[j][p])
+            for buf, gen in zip((c, z), run_streams):
+                gen.standard_normal(out=buf[p])
         c *= c_scale
         np.matmul(basis, c, out=x)
         if row_scale is None:
@@ -290,11 +290,7 @@ def _train_stack(
             z *= z_scale
             y += z
 
-        if objective == "jittering":
-            w *= sigma_w
-            w += y
-            yt = w
-        elif objective == "adversarial":
+        if adversarial:
             try:
                 yt = pgd_perturb_batch(h, x, y, eps, steps)
             except AttackDivergenceError:
@@ -330,9 +326,9 @@ def _train_stack(
             live, streams = [live[p] for p in keep], [streams[p] for p in keep]
             if not live:
                 break
-            h, eps, sigma_w, c, z, w, x, y, yt, resid, sq, loss, ema, *moments = (
+            h, eps, z_scale, c, z, x, y, yt, resid, sq, loss, ema, *moments = (
                 None if a is None else a[keep]
-                for a in (h, eps, sigma_w, c, z, w, x, y, yt, resid, sq, loss, ema, *moments)
+                for a in (h, eps, z_scale, c, z, x, y, yt, resid, sq, loss, ema, *moments)
             )
             grad, step = np.empty_like(h), np.empty_like(h)
         ema = loss if ema is None else 0.99 * ema + 0.01 * loss

@@ -113,9 +113,15 @@ def test_bad_list_fails_with_json_error_and_writes_nothing(tmp_path, capsys, arg
     (["gap", "--operator", "bogus"], "ConfigError"),
     (["large-eps", "--operator", "bogus"], "ConfigError"),
     (["sweep", "--operator", "bogus"], "ConfigError"),
+    (["alpha-curve", "--sigma-z", "0.9"], "ConfigError"),
+    (["large-eps", "--sigma-z", "0.9"], "ConfigError"),
+    (["alpha-curve", "--sigma-w-grid", "0.1"], "ConfigError"),
+    (["alpha-curve", "--config", "/nonexistent-dir/run.cfg"], "ConfigError"),
 ], ids=["negative-seed", "zero-sigma-c", "large-eps-zero-sigma-c", "equivalence-one-sample",
         "large-eps-one-sample", "sweep-no-sample", "gap-one-sample", "equivalence-bogus-operator",
-        "gap-bogus-operator", "large-eps-bogus-operator", "sweep-bogus-operator"])
+        "gap-bogus-operator", "large-eps-bogus-operator", "sweep-bogus-operator",
+        "alpha-curve-sigma-z", "large-eps-sigma-z", "alpha-curve-unused-key",
+        "missing-config-file"])
 def test_bad_value_fails_with_one_json_line_and_writes_nothing(tmp_path, capfd, args, error):
     # capfd, not capsys: gap's forked workers write to the file descriptor.
     # The case's flag comes last, so that it overrides the small sizes.
@@ -144,6 +150,19 @@ def test_unwritable_output_fails_nonzero(tmp_path, capsys):
     assert code == 1
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["error"] in ("OSError", "ConfigError")
+
+
+def test_output_naming_a_directory_fails_and_leaves_no_temp_file(tmp_path, capsys):
+    # The CSV is written to a temp file beside out, whose rename onto a
+    # directory fails: one OSError line, and the temp file is removed.
+    out = tmp_path / "x.csv"
+    out.mkdir()
+    assert main(["alpha-curve", "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "OSError"
+    assert list(tmp_path.iterdir()) == [out]
+    assert list(out.iterdir()) == []
 
 
 def test_gap_rejects_identity_operator(tmp_path, capsys):

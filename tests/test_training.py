@@ -7,7 +7,9 @@ import pytest
 
 import jitterlab.training
 from jitterlab.attack import pgd_perturb_batch
-from jitterlab.errors import AttackDivergenceError, InvalidParameterError, TrainingDivergenceError
+from jitterlab.errors import (
+    AttackDivergenceError, InvalidDimensionError, InvalidParameterError, TrainingDivergenceError,
+)
 from jitterlab.estimators import (
     jitter_level_for_eps,
     jittering_denoiser_alpha,
@@ -181,7 +183,7 @@ def test_sweep_names_the_first_failing_row(monkeypatch, cpus):
 
 def test_jitter_noise_shares_stream_with_batch():
     # jittering at sigma_w=0 must reproduce the standard run bit for bit, also
-    # in the textbook loop, which draws w and adds 0 w
+    # in the textbook loop, whose noise scale sqrt(s^2 + 0^2) is then s
     model, op, noise = _setup()
     standard = TrainConfig(objective="standard", n_iterations=400, seed=9)
     jitter = replace(standard, objective="jittering", sigma_w=0.0)
@@ -204,20 +206,21 @@ def test_training_prefix_is_stable(objective):
 
 
 def _reference_train(model, op, noise, config):
-    # The textbook loop: every draw taken, dense A, out-of-place optimizer steps.
+    # The textbook loop: every draw taken, dense A, out-of-place optimizer
+    # steps.  Jittering trains on y + w = Ax + (z + w), whose noise is one
+    # draw at per-coordinate variance sigma_z^2 / m + sigma_w^2.
     n, m, d = model.n, noise.m, model.d
     batch = config.batch_size
     h, vel, mom1, mom2 = (np.zeros((n, m)) for _ in range(4))
-    gen_c, gen_z, gen_w = (rng_stream(config.seed, j) for j in range(3))
+    gen_c, gen_z = (rng_stream(config.seed, j) for j in range(2))
+    sigma_w = config.sigma_w if config.objective == "jittering" else 0.0
+    z_scale = np.sqrt(noise.per_coordinate_std**2 + sigma_w**2)
     for t in range(config.n_iterations):
         c = model.sigma_c / np.sqrt(d) * gen_c.standard_normal((d, batch))
-        z = noise.per_coordinate_std * gen_z.standard_normal((m, batch))
-        w = gen_w.standard_normal((m, batch))
+        z = z_scale * gen_z.standard_normal((m, batch))
         x = model.basis @ c
         y = op.matrix @ x + z
-        if config.objective == "jittering":
-            yt = y + config.sigma_w * w
-        elif config.objective == "adversarial":
+        if config.objective == "adversarial":
             yt = y + pgd_perturb_batch(h, x, y, config.eps, config.attack_steps)
         else:
             yt = y
@@ -268,8 +271,61 @@ def test_train_bit_identical_to_reference_loop(spectrum, optimizer, objective):
             assert np.array_equal(run.losses, alone.losses)
 
 
+@pytest.mark.parametrize("spectrum", ["identity", "linear-decay"])
+@pytest.mark.parametrize("optimizer", ["adaptive", "sgd"])
+@pytest.mark.parametrize("sigma_z", [0.4, 0.0])
+def test_noisier_training_data_trains_as_jittering(spectrum, optimizer, sigma_z):
+    # y + w with w ~ N(0, sigma_w^2 I) is a measurement at per-coordinate
+    # variance sigma_z^2 / m + sigma_w^2: standard training on data at
+    # sigma_z_train and jittering at the matching sigma_w are one run, up to
+    # the rounding of the two noise scales.
+    sigma_z_train = 0.75  # where the two scales differ in their last bit
+    model, op, noisy = _setup(n=12, d=4, sigma_z=sigma_z_train, spectrum=spectrum)
+    noise = NoiseModel(m=noisy.m, sigma_z=sigma_z)
+    sigma_w = np.sqrt((sigma_z_train**2 - sigma_z**2) / noisy.m)
+    cfg = TrainConfig(optimizer=optimizer, lr=1e-3 if optimizer == "adaptive" else 0.02,
+                      momentum=0.5, batch_size=9, n_iterations=300, seed=11)
+    jitter = replace(cfg, objective="jittering", sigma_w=sigma_w)
+    h_a = train(model, op, noisy, cfg).estimator.matrix
+    h_b = train(model, op, noise, jitter).estimator.matrix
+    assert np.max(np.abs(h_a - h_b)) <= 1e-12 * np.max(np.abs(h_a))
+
+
+@pytest.mark.parametrize("sigma_z", [0.4, 0.0])
+def test_each_run_opens_the_latent_and_the_noise_stream_only(monkeypatch, sigma_z):
+    # The stream layout: run p opens rng_stream(seed, 0) for c and, when its
+    # noise scale is non-zero, (seed, 1) for z, and nothing else.  A change
+    # to this layout changes every trained row that it touches.
+    model, op, noise = _setup(n=10, d=3, sigma_z=sigma_z)
+    base = TrainConfig(n_iterations=20, batch_size=6)
+    configs = [
+        replace(base, objective="standard", sigma_w=0.3, seed=1),
+        replace(base, objective="jittering", sigma_w=0.3, seed=2),
+        replace(base, objective="jittering", sigma_w=0.0, seed=3),
+        replace(base, objective="adversarial", eps=0.2, sigma_w=0.3, seed=4),
+        replace(base, objective="adversarial", eps=0.0, seed=5),
+    ]
+    opened = []
+
+    def recording(seed, *path):
+        opened.append((seed, *path))
+        return rng_stream(seed, *path)
+
+    monkeypatch.setattr(jitterlab.training, "rng_stream", recording)
+    runs = _train_runs(model, op, [noise] * len(configs), configs)
+    expected = [(config.seed, 0) for config in configs] + [
+        (config.seed, 1) for config in configs
+        if sigma_z != 0 or (config.objective == "jittering" and config.sigma_w != 0)
+    ]
+    assert sorted(opened) == sorted(expected)
+    monkeypatch.undo()
+    for config, run in zip(configs, runs):  # also a standard run stacked with noisier ones
+        alone = _reference_train(model, op, noise, config)
+        assert np.array_equal(run.estimator.matrix, alone)
+
+
 def test_train_runs_returns_a_mixed_list_in_input_order():
-    # Runs at eps = 0 or sigma_w = 0 join the standard stack; the adversarial
+    # Jittering runs and runs at eps = 0 join the standard stack; the adversarial
     # group is more than one stack; the sgd run stacks alone.
     model, op, noise = _setup(n=10, d=3)
     base = TrainConfig(n_iterations=30, batch_size=6, record_every=7)
@@ -385,6 +441,19 @@ def test_train_map_raises_the_first_failing_run(monkeypatch, cpus):
     assert np.array_equal(info.value.trace.losses, alone.value.trace.losses)
     with pytest.raises(ValueError, match="item 0"):
         _train_map(model, op, [noise] * len(configs), configs, finish_failing_at(0))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+def test_train_map_raises_a_dimension_mismatch_itself(monkeypatch, cpus):
+    # A noise model whose m is not the operator's row count fails every
+    # share before any run trains: the map raises that error, not a worker's
+    # ChildProcessError, and leaves no child process behind.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    model, op, _ = _setup(n=10, d=3)
+    configs = [TrainConfig(n_iterations=5, seed=seed) for seed in range(2)]
+    with pytest.raises(InvalidDimensionError, match="10 rows but noise lives in dimension 7"):
+        _train_map(model, op, [NoiseModel(m=7, sigma_z=0.4)] * 2, configs, lambda i, run: run())
     assert multiprocessing.active_children() == []
 
 
