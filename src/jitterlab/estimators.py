@@ -4,8 +4,9 @@ Throughout, signals are x = U c with c ~ N(0, sigma_c^2/d * I) and
 measurements y = A x + z with z ~ N(0, sigma_z^2/m * I).  Writing the SVD
 of the restricted forward map as A U = W diag(lambda_i) V (W: m x k
 orthonormal columns, V: k x d orthonormal rows), every estimator here is a
-per-mode shrinkage H = (U V') diag(sigma_i) W', so it is represented in
-factored form and materialized to a dense matrix only on demand.
+per-mode shrinkage H = (U V') diag(sigma_i) W'.  Its factors are kept as
+the SVD of a LinearEstimator, which forms the matrix from them once and
+applies H as that matrix.
 
 The families implemented:
   * worst-case-optimal denoiser (A = I): H = alpha U U' with the alpha that
@@ -34,7 +35,7 @@ from .errors import (
     InvalidParameterError,
     OutOfRegimeError,
 )
-from .model import ForwardOperator, NoiseModel, SubspaceModel, _check_triple
+from .model import ForwardOperator, NoiseModel, SubspaceModel, _check_triple, _readonly
 
 _FACTOR_TOL = 1e-8
 # A bisection follows _STALE_STEPS steps in a row that fail to halve the
@@ -113,20 +114,16 @@ def _increasing_root(g: Callable[[float], float]) -> float:
 
 
 class LinearEstimator:
-    """A linear map H (n x m) with its SVD always available.
+    """A linear map H (n x m), held read-only as its matrix and its SVD.
 
-    Construct with from_matrix (SVD computed once and cached) or
+    from_matrix keeps the matrix and computes the SVD on first use;
     from_factors (left: n x k orthonormal columns, singular_values >= 0,
-    right: k x m orthonormal rows; stored sorted non-increasing).  The top
-    singular value is then an O(1) lookup, which the robust-risk dual needs
-    on every call.
+    right: k x m orthonormal rows) keeps the factors, sorted non-increasing,
+    as the SVD and forms the matrix from them once.  apply is matrix @ y.
     """
 
-    def __init__(self) -> None:
-        self._matrix: np.ndarray | None = None
-        self._left: np.ndarray | None = None
-        self._s: np.ndarray | None = None
-        self._right: np.ndarray | None = None
+    matrix: np.ndarray
+    _svd: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "LinearEstimator":
@@ -136,7 +133,7 @@ class LinearEstimator:
             raise InvalidDimensionError("estimator matrix must be 2-D")
         if not np.all(np.isfinite(matrix)):
             raise InvalidParameterError("estimator matrix must be finite")
-        est._matrix = matrix.copy()
+        est.matrix = _readonly(matrix)
         return est
 
     @classmethod
@@ -163,37 +160,30 @@ class LinearEstimator:
                     f"factors not orthonormal: errors {err_l:.2e}, {err_r:.2e}"
                 )
         order = np.argsort(-s, kind="stable")
+        left, s, right = (_readonly(a) for a in (left[:, order], s[order], right[order, :]))
         est = cls()
-        est._left = left[:, order].copy()
-        est._s = s[order].copy()
-        est._right = right[order, :].copy()
+        est.matrix = _readonly((left * s) @ right)
+        est._svd = (left, s, right)
         return est
 
-    def _ensure_svd(self) -> None:
-        if self._s is None:
-            w, s, vt = np.linalg.svd(self._matrix, full_matrices=False)
-            self._left, self._s, self._right = w, s, vt
-
-    @property
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix = (self._left * self._s) @ self._right
-        return self._matrix
+    def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self._svd is None:  # from_matrix: computed on first use
+            self._svd = np.linalg.svd(self.matrix, full_matrices=False)
+            for arr in self._svd:  # fresh arrays: made read-only in place, not copied
+                arr.setflags(write=False)
+        return self._svd
 
     @property
     def left(self) -> np.ndarray:
-        self._ensure_svd()
-        return self._left
+        return self._factors()[0]
 
     @property
     def singular_values(self) -> np.ndarray:
-        self._ensure_svd()
-        return self._s
+        return self._factors()[1]
 
     @property
     def right(self) -> np.ndarray:
-        self._ensure_svd()
-        return self._right
+        return self._factors()[2]
 
     @property
     def sigma_max(self) -> float:
@@ -202,14 +192,10 @@ class LinearEstimator:
 
     @property
     def shape(self) -> tuple[int, int]:
-        if self._matrix is not None:
-            return self._matrix.shape
-        return (self._left.shape[0], self._right.shape[1])
+        return self.matrix.shape
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """H @ y for a vector (m,) or a batch (m x N)."""
-        if self._s is not None and self._matrix is None:
-            return (self._left * self._s) @ (self._right @ y)
         return self.matrix @ y
 
     def frobenius_norm(self) -> float:

@@ -148,7 +148,7 @@ COMMAND_DEFAULTS: dict[str, dict] = {
     "large-eps": {
         **_COMMON_DEFAULTS,
         "sigma_c": float(np.sqrt(50.0)),
-        "sigma_z": 0.0,  # must stay 0: each noise level sets its own
+        "sigma_z": 0.0,
         "noise_levels": (0.0, 0.5, 1.5),
         "eps_sq_rel_grid": (0.0, 0.25, 0.5, 0.75, 1.0, 1.2, 1.5),
     },
@@ -158,6 +158,21 @@ COMMAND_DEFAULTS: dict[str, dict] = {
         "eps_grid": (0.2, 0.35, 0.5, 0.65),
         "sigma_w_grid": (),
     },
+}
+
+
+# The keys a training run reads, each the TrainConfig field of that name.
+_TRAIN_KEYS = ("lr", "batch_size", "n_iterations", "optimizer", "attack_steps")
+
+# Keys each command keeps in its config header but never reads; resolve_config
+# rejects a value other than the default, which would change only the hash.
+_UNREAD_KEYS: dict[str, tuple[str, ...]] = {
+    "alpha-curve": tuple(key for key in COMMAND_DEFAULTS["alpha-curve"]
+                         if key not in ("sigma_c", "noise_levels", "eps_grid", "out")),
+    "equivalence": ("ratio",),
+    "gap": _TRAIN_KEYS,
+    "large-eps": ("ratio", "sigma_z"),  # each noise level sets its own sigma_z
+    "sweep": ("ratio",),
 }
 
 
@@ -183,7 +198,8 @@ def resolve_config(command: str, raw_items: dict[str, str]) -> dict:
     """Defaults overlaid with raw string items, typed-parsed per key."""
     if command not in COMMAND_DEFAULTS:
         raise ConfigError(f"unknown command {command!r}")
-    cfg = dict(COMMAND_DEFAULTS[command])
+    defaults = COMMAND_DEFAULTS[command]
+    cfg = dict(defaults)
     for key, text in raw_items.items():
         if key not in KEY_SPECS:
             raise ConfigError(f"unknown config key {key!r}")
@@ -196,8 +212,9 @@ def resolve_config(command: str, raw_items: dict[str, str]) -> dict:
             raise ConfigError(f"bad value for {key!r}: {text!r} ({exc})") from exc
         if cfg[key] == () and key != "sigma_w_grid":  # an empty sigma_w_grid means auto
             raise ConfigError(f"{key!r} needs at least one value")
-    if "noise_levels" in cfg and cfg["sigma_z"] != 0.0:  # the levels set each run's noise
-        raise ConfigError(f"sigma_z must be 0 for {command!r}, which reads noise_levels")
+    for key in _UNREAD_KEYS[command]:
+        if cfg[key] != defaults[key]:
+            raise ConfigError(f"{command!r} does not read {key!r}: leave it at {defaults[key]!r}")
     if "n" in raw_items and "m" not in raw_items:
         cfg["m"] = cfg["n"]  # measurement count tracks n unless set explicitly
     return cfg
@@ -229,6 +246,9 @@ def write_atomic(path: str, text: str) -> None:
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".csv")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            umask = os.umask(0o077)  # mkstemp makes 0600; give the mode open() would
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp_path, path)
     except BaseException:
@@ -281,16 +301,7 @@ def cmd_alpha_curve(cfg: dict) -> str:
 
 
 def _train_config(cfg: dict, objective: str, seed: int, **kwargs) -> TrainConfig:
-    return TrainConfig(
-        objective=objective,
-        optimizer=cfg["optimizer"],
-        lr=cfg["lr"],
-        batch_size=cfg["batch_size"],
-        n_iterations=cfg["n_iterations"],
-        attack_steps=cfg["attack_steps"],
-        seed=seed,
-        **kwargs,
-    )
+    return TrainConfig(objective=objective, seed=seed, **{k: cfg[k] for k in _TRAIN_KEYS}, **kwargs)
 
 
 def cmd_equivalence(cfg: dict) -> str:

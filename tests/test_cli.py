@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -117,16 +118,21 @@ def test_bad_list_fails_with_json_error_and_writes_nothing(tmp_path, capsys, arg
     (["large-eps", "--sigma-z", "0.9"], "ConfigError"),
     (["alpha-curve", "--sigma-w-grid", "0.1"], "ConfigError"),
     (["alpha-curve", "--config", "/nonexistent-dir/run.cfg"], "ConfigError"),
+    (["gap", "--lr", "7"], "ConfigError"),
+    (["alpha-curve", "--n", "7"], "ConfigError"),
+    (["equivalence", "--ratio", "0.1"], "ConfigError"),
 ], ids=["negative-seed", "zero-sigma-c", "large-eps-zero-sigma-c", "equivalence-one-sample",
         "large-eps-one-sample", "sweep-no-sample", "gap-one-sample", "equivalence-bogus-operator",
         "gap-bogus-operator", "large-eps-bogus-operator", "sweep-bogus-operator",
         "alpha-curve-sigma-z", "large-eps-sigma-z", "alpha-curve-unused-key",
-        "missing-config-file"])
+        "missing-config-file", "gap-training-key", "alpha-curve-size-key", "equivalence-ratio"])
 def test_bad_value_fails_with_one_json_line_and_writes_nothing(tmp_path, capfd, args, error):
     # capfd, not capsys: gap's forked workers write to the file descriptor.
-    # The case's flag comes last, so that it overrides the small sizes.
+    # The case's flag comes last, so that it overrides the small sizes.  A
+    # command gets only the size flags it reads, so each case fails on its own.
     out = tmp_path / "x.csv"
-    small = ["--n", "8", "--d", "2", "--eval-samples", "10", "--n-iterations", "5"]
+    sizes = ["--n", "8", "--d", "2", "--eval-samples", "10", "--n-iterations", "5"]
+    small = {"alpha-curve": [], "gap": sizes[:6]}.get(args[0], sizes)
     assert main(args[:1] + small + args[1:] + ["--out", str(out)]) == 1
     lines = capfd.readouterr().err.strip().splitlines()
     assert len(lines) == 1
@@ -163,6 +169,19 @@ def test_output_naming_a_directory_fails_and_leaves_no_temp_file(tmp_path, capsy
     assert json.loads(lines[0])["error"] == "OSError"
     assert list(tmp_path.iterdir()) == [out]
     assert list(out.iterdir()) == []
+
+
+def test_outputs_honour_the_umask(tmp_path):
+    # A CSV gets the mode a plain open() would give: 0o666 less the umask.
+    old = os.umask(0o022)
+    try:
+        for umask, mode in ((0o022, 0o644), (0o027, 0o640)):
+            os.umask(umask)
+            out = tmp_path / f"{umask:o}.csv"
+            assert main(["alpha-curve", "--out", str(out)]) == 0
+            assert stat.S_IMODE(out.stat().st_mode) == mode
+    finally:
+        os.umask(old)
 
 
 def test_gap_rejects_identity_operator(tmp_path, capsys):
@@ -257,9 +276,10 @@ def test_drivers_draw_the_evaluation_set_once(tmp_path, monkeypatch, command):
 
     monkeypatch.setattr(jitterlab.model, "draw_latents", counting)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    cfg = resolve_config(
-        command, {"n": "12", "d": "4", "n_iterations": "2", "eval_samples": "20"}
-    )
+    sizes = {"n": "12", "d": "4", "n_iterations": "2", "eval_samples": "20"}
+    if command == "gap":
+        del sizes["n_iterations"]  # gap trains nothing
+    cfg = resolve_config(command, sizes)
     COMMAND_FUNCS[command](cfg)
     draws = [tuple(line.split()) for line in log.read_text().splitlines()]
     if command == "large-eps":
@@ -309,9 +329,9 @@ def test_drivers_write_the_same_bytes_on_one_or_two_cpus(tmp_path, monkeypatch, 
     for cpus in ({0}, {0, 1}, {0, 1, 2}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
         out = tmp_path / f"{len(cpus)}.csv"
+        budget = [] if command == "gap" else ["--n-iterations", "40"]  # gap trains nothing
         assert main([
-            command, "--out", str(out), "--n", "12", "--d", "4",
-            "--n-iterations", "40", "--eval-samples", "50",
+            command, "--out", str(out), "--n", "12", "--d", "4", *budget, "--eval-samples", "50",
         ]) == 0
         outputs[len(cpus)] = sorted(
             (path.name.replace(f"{len(cpus)}", "k"), path.read_bytes())

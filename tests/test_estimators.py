@@ -246,11 +246,17 @@ def test_conjectured_collapses_to_zero_at_huge_eps():
     assert np.all(prof.sigma_i == 0.0)
 
 
-def test_from_factors_sorts_descending():
-    rng = np.random.default_rng(2)
+def _build(constructor, rng):
+    """A dense 5 x 7 estimator, or a rank-3 one on 8 x 8 from shuffled factors."""
+    if constructor == "from_matrix":
+        return LinearEstimator.from_matrix(rng.standard_normal((5, 7)))
     q1, _ = np.linalg.qr(rng.standard_normal((8, 3)))
     q2, _ = np.linalg.qr(rng.standard_normal((8, 3)))
-    est = LinearEstimator.from_factors(q1, np.array([0.1, 0.9, 0.5]), q2.T)
+    return LinearEstimator.from_factors(q1, np.array([0.1, 0.9, 0.5]), q2.T)
+
+
+def test_from_factors_sorts_descending():
+    est = _build("from_factors", np.random.default_rng(2))
     assert np.allclose(est.singular_values, [0.9, 0.5, 0.1])
     assert est.sigma_max == pytest.approx(0.9)
 
@@ -265,11 +271,28 @@ def test_from_matrix_svd_consistency():
 
 
 def test_apply_matches_matrix_product():
+    # One apply path for both constructors: H @ y with the very matrix that
+    # certify and the attacks see.
     rng = np.random.default_rng(8)
     h = rng.standard_normal((5, 7))
-    est = LinearEstimator.from_matrix(h)
     y = rng.standard_normal((7, 4))
-    assert np.max(np.abs(est.apply(y) - h @ y)) < 1e-12
+    assert np.max(np.abs(LinearEstimator.from_matrix(h).apply(y) - h @ y)) < 1e-12
+    for constructor in ("from_matrix", "from_factors"):
+        est = _build(constructor, rng)
+        y = rng.standard_normal((est.shape[1], 4))
+        assert np.array_equal(est.apply(y), est.matrix @ y), constructor
+
+
+@pytest.mark.parametrize("constructor", ["from_matrix", "from_factors"])
+def test_estimator_arrays_are_read_only(constructor):
+    # The matrix and its SVD describe one H: a write into either would
+    # leave the other, and sigma_max, stale.
+    est = _build(constructor, np.random.default_rng(9))
+    sigma_max = est.sigma_max
+    for arr in (est.matrix, est.left, est.singular_values, est.right):
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+    assert est.sigma_max == sigma_max
 
 
 def test_root_finder_interior_root():

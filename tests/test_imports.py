@@ -1,14 +1,17 @@
 """The package imports only the standard library, numpy and itself, and
-keeps every name the benchmark's per-call block reads."""
+keeps every name the benchmark's per-call block and the demos read."""
 
 import ast
 import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 import jitterlab
 
 PACKAGE = Path(jitterlab.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _imported_roots(tree: ast.AST) -> list[tuple[int, str]]:
@@ -34,11 +37,15 @@ def test_package_imports_only_stdlib_and_numpy():
     assert strays == []
 
 
-def test_micro_benchmark_reads_only_names_the_package_has():
-    # perfbench/micro.py reads the package as `jl`; a pruned name would
-    # break the benchmark's per-call block, not this suite, without this check.
-    micro = Path(__file__).resolve().parents[1] / "perfbench" / "micro.py"
-    tree = ast.parse(micro.read_text(encoding="utf-8"))
+@pytest.mark.parametrize(
+    "script",
+    [ROOT / "perfbench" / "micro.py", *sorted((ROOT / "demos").glob("*.py"))],
+    ids=lambda path: path.stem,
+)
+def test_micro_benchmark_reads_only_names_the_package_has(script):
+    # The benchmark's per-call block and the demos read the package as `jl`;
+    # most demos run in no test, so a pruned name would break them unseen.
+    tree = ast.parse(script.read_text(encoding="utf-8"))
     names = {
         node.attr
         for node in ast.walk(tree)
@@ -55,7 +62,7 @@ def test_tracer_finds_every_target_the_package_has():
     # minimize_convex is the one target the package no longer has.
     import jitterlab.cli  # noqa: F401  (the tracer searches the loaded modules)
 
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    path = ROOT / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
