@@ -333,7 +333,7 @@ def cmd_equivalence(cfg: dict) -> str:
                        sigma_w=jitter_level_for_eps(sigma_c, sigma_z, d, n, eps)), eps)
         for j, eps in enumerate(eps_grid)
     ]
-    x, y, _ = draw_sample_arrays(model, op, noise, cfg["eval_samples"], _sub_seed(cfg["seed"], 0))
+    x, y = draw_sample_arrays(model, op, noise, cfg["eval_samples"], _sub_seed(cfg["seed"], 0))[:2]
     reports = _train_map(
         model, op, [noise] * len(jobs), [config for config, _ in jobs],
         lambda i, run: certify(run().estimator, x, y, jobs[i][1]),
@@ -374,7 +374,7 @@ def cmd_gap(cfg: dict) -> str:
         raise ConfigError("gap needs operator=linear-decay or geometric")
     model, op, noise = _build_setup(cfg)
     n = model.n
-    x, y, _ = draw_sample_arrays(model, op, noise, cfg["eval_samples"], _sub_seed(cfg["seed"], 0))
+    x, y = draw_sample_arrays(model, op, noise, cfg["eval_samples"], _sub_seed(cfg["seed"], 0))[:2]
     std = mmse_estimator(model, op, noise)
 
     def certify_at(eps: float) -> list[str]:
@@ -429,10 +429,9 @@ def cmd_large_eps(cfg: dict) -> str:
         est = run().estimator
         if li not in held:
             held.clear()  # free the last level's set before this level draws
-            x, y, _ = draw_sample_arrays(
+            held[li] = draw_sample_arrays(
                 model, op, noises[li], cfg["eval_samples"], _sub_seed(cfg["seed"], 100 + li)
-            )
-            held[li] = (x, y)
+            )[:2]
         return certify(est, *held[li], eps), est.frobenius_norm()
 
     results = _train_map(

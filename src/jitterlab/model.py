@@ -9,7 +9,7 @@ is sigma_z^2/m throughout; denoising is the m = n special case.
 
 Randomness comes from counter-based Philox streams keyed by a master seed
 plus a stream path, so sample generation is reproducible bit-for-bit and
-parallelizable by chunk without shared state.
+parallelizable by chunk without shared state.  A draw holds X, Y, C and one row block.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ import numpy as np
 from .errors import InvalidDimensionError, InvalidParameterError
 
 # Samples are drawn in fixed-size chunks, one RNG stream per chunk, so that
-# the first k samples of a run do not depend on how many were requested.
-_CHUNK = 4096
+# the first k samples of a run do not depend on how many were requested.  A
+# stream is read _ROW_BLOCK full-width rows at a time, in one full read's order.
+_CHUNK, _ROW_BLOCK = 4096, 8
 
 _ORTHO_TOL = 1e-10
 
@@ -189,6 +190,27 @@ def _check_triple(model: SubspaceModel, op: ForwardOperator, noise: NoiseModel) 
         )
 
 
+def _latent_blocks(model: SubspaceModel, noise: NoiseModel, count: int, seed: int) -> tuple:
+    """Row blocks (rows, cols, scaled block) of C, and of Z, from the chunk streams.
+
+    Chunk j's rng_stream(seed, j) gives C's rows, then Z's: exhaust C's blocks first.
+    """
+    if count < 0:
+        raise InvalidParameterError(f"count must be >= 0, got {count}")
+    streams = [rng_stream(seed, start // _CHUNK) for start in range(0, count, _CHUNK)]
+
+    def blocks(n_rows, scale):
+        for g, start in zip(streams, range(0, count, _CHUNK)):
+            size = min(_CHUNK, count - start)
+            for row in range(0, n_rows, _ROW_BLOCK):
+                block = g.standard_normal((min(_ROW_BLOCK, n_rows - row), _CHUNK))[:, :size]
+                block *= scale
+                yield slice(row, row + _ROW_BLOCK), slice(start, start + size), block
+
+    return (blocks(model.d, model.sigma_c / np.sqrt(model.d)),
+            blocks(noise.m, noise.per_coordinate_std))
+
+
 def draw_latents(
     model: SubspaceModel, noise: NoiseModel, count: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -197,26 +219,28 @@ def draw_latents(
     Chunked streams make the draw independent of `count`: the first k
     columns coincide for any two calls with the same seed.
     """
-    if count < 0:
-        raise InvalidParameterError(f"count must be >= 0, got {count}")
-    d, m = model.d, noise.m
-    c, z = np.empty((d, count)), np.empty((m, count))
-    c_scale, z_scale = model.sigma_c / np.sqrt(d), noise.per_coordinate_std
-    for start in range(0, count, _CHUNK):
-        size = min(_CHUNK, count - start)
-        g = rng_stream(seed, start // _CHUNK)
-        # Full-chunk draws, sliced: the first k samples never depend on count.
-        np.multiply(c_scale, g.standard_normal((d, _CHUNK))[:, :size], out=c[:, start:start + size])
-        np.multiply(z_scale, g.standard_normal((m, _CHUNK))[:, :size], out=z[:, start:start + size])
+    c_blocks, z_blocks = _latent_blocks(model, noise, count, seed)
+    c, z = np.empty((model.d, count)), np.empty((noise.m, count))
+    for out, blocks in ((c, c_blocks), (z, z_blocks)):
+        for rows, cols, block in blocks:
+            out[rows, cols] = block
     return c, z
 
 
 def draw_sample_arrays(
     model: SubspaceModel, op: ForwardOperator, noise: NoiseModel, count: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched samples as arrays: X (n x count), Y (m x count), C (d x count)."""
+    """Batched samples as arrays: X (n x count), Y (m x count), C (d x count).
+
+    Holds X, Y and C plus one row block: Z's row blocks are added into Y = A X.
+    """
     _check_triple(model, op, noise)
-    c, z = draw_latents(model, noise, count, seed)
-    x = model.basis @ c
-    y = op.matrix @ x + z
+    c_blocks, z_blocks = _latent_blocks(model, noise, count, seed)
+    c, x, y = (np.empty((rows, count)) for rows in (model.d, model.n, noise.m))
+    for rows, cols, block in c_blocks:
+        c[rows, cols] = block
+    np.matmul(model.basis, c, out=x)
+    np.matmul(op.matrix, x, out=y)
+    for rows, cols, block in z_blocks:
+        y[rows, cols] += block
     return x, y, c

@@ -101,7 +101,7 @@ _SECULAR_RTOL = 1e-11
 # leaves lam* = max s2 to working precision.
 _MU_FLOOR = float(np.finfo(float).tiny) ** (1.0 / 3.0)
 # Evaluation-set columns per certify block: at n = 100 a block's residual and
-# secular temporaries fit a 2 MiB L2.  Fixed, as no certified value depends on it.
+# secular temporaries fit a 2 MiB L2.  Fixed, as BLAS may round by block width.
 _CERTIFY_COLUMNS = 1024
 # Relative gap below which two forward singular values count as one in the
 # best-jitter scan's hard case; an SVD of A U with tied values spreads them
@@ -212,7 +212,7 @@ def residuals(
     seed: int,
 ) -> np.ndarray:
     """Unperturbed residual columns v = H y - x = (H A - I) x + H z."""
-    x, y, _ = draw_sample_arrays(model, op, noise, n_samples, seed)
+    x, y = draw_sample_arrays(model, op, noise, n_samples, seed)[:2]
     return estimator.apply(y) - x
 
 
@@ -231,10 +231,10 @@ def certify(
     block of _CERTIFY_COLUMNS columns the residual H y - x is formed once
     and each eps takes one batched dual on it; each eps then takes a 66%
     interval over all N per-sample values.  Each dual is computed column by
-    column, so the block size, fixed to bound the working set, changes no
-    value.  Callers certify every estimator they compare on the same (x, y),
-    so differences between estimators and between radii are not Monte-Carlo
-    noise.
+    column, so the block size, fixed to bound the working set, moves a value
+    only where BLAS rounds a narrow block's products unlike the full ones.
+    Callers certify every estimator they compare on the same (x, y), so
+    differences between estimators and between radii are not Monte-Carlo noise.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     n, m = estimator.shape
@@ -246,8 +246,10 @@ def certify(
         raise InvalidParameterError(f"need at least 2 samples, got {x.shape[1]}")
     eps_grid = np.atleast_1d(np.asarray(eps_grid, dtype=float))
     duals = np.empty((eps_grid.size, x.shape[1]))
-    for start in range(0, x.shape[1], _CERTIFY_COLUMNS):
-        cols = slice(start, start + _CERTIFY_COLUMNS)
+    for start in range(0, x.shape[1] - 1, _CERTIFY_COLUMNS):
+        # a one-column tail joins this block, as numpy sums a (k, 1) block pairwise
+        stop = start + _CERTIFY_COLUMNS
+        cols = slice(start, stop if stop + 1 < x.shape[1] else None)
         v = estimator.apply(y[:, cols])
         v -= x[:, cols]
         for k, eps in enumerate(eps_grid):
@@ -267,7 +269,7 @@ def robust_risk_exact(
     seed: int,
 ) -> RiskReport:
     """Monte-Carlo robust risk at one eps: certify on a seeded draw of n_samples pairs."""
-    x, y, _ = draw_sample_arrays(model, op, noise, n_samples, seed)
+    x, y = draw_sample_arrays(model, op, noise, n_samples, seed)[:2]
     return certify(estimator, x, y, eps)
 
 

@@ -507,7 +507,7 @@ def sweep_jitter_levels(
         replace(base, objective="jittering", sigma_w=float(sw), seed=_sub_seed(seed, i))
         for i, sw in enumerate(sigma_w_grid)
     ]
-    x, y, _ = draw_sample_arrays(model, op, noise, eval_samples, _sub_seed(seed, 10**6))
+    x, y = draw_sample_arrays(model, op, noise, eval_samples, _sub_seed(seed, 10**6))[:2]
 
     def certify_row(i: int, run) -> RiskReport:
         try:

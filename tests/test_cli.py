@@ -267,14 +267,14 @@ def test_drivers_draw_the_evaluation_set_once(tmp_path, monkeypatch, command):
     # Draws are logged to a file, as forked workers cannot append to this
     # process's lists.  Default grids, tiny sizes and budgets, two CPUs.
     log = tmp_path / "draws.log"
-    real = jitterlab.model.draw_latents
+    real = jitterlab.model._latent_blocks  # opens the streams of every draw
 
     def counting(model, noise, count, seed):
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()} {noise.sigma_z!r} {seed}\n")
         return real(model, noise, count, seed)
 
-    monkeypatch.setattr(jitterlab.model, "draw_latents", counting)
+    monkeypatch.setattr(jitterlab.model, "_latent_blocks", counting)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     sizes = {"n": "12", "d": "4", "n_iterations": "2", "eval_samples": "20"}
     if command == "gap":

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,59 @@ def test_draw_latents_prefix_stability():
     c_long, z_long = draw_latents(model, noise, 300, 9)
     assert np.array_equal(c_long[:, :10], c_short)
     assert np.array_equal(z_long[:, :10], z_short)
+
+
+def _full_chunk_latents(model, noise, count, seed):
+    # The reference draw: chunk j's stream gives all of C's rows, then all
+    # of Z's, each one (rows, 4096) draw sliced to the chunk.
+    c, z = np.empty((model.d, count)), np.empty((noise.m, count))
+    for start in range(0, count, 4096):
+        size = min(4096, count - start)
+        g = rng_stream(seed, start // 4096)
+        c[:, start:start + size] = (model.sigma_c / np.sqrt(model.d)) * g.standard_normal(
+            (model.d, 4096))[:, :size]
+        z[:, start:start + size] = noise.per_coordinate_std * g.standard_normal(
+            (noise.m, 4096))[:, :size]
+    return c, z
+
+
+_DRAW_OPERATORS = {
+    "identity": lambda: make_diagonal_operator(12, "identity"),
+    "linear-decay": lambda: make_diagonal_operator(12, "linear-decay"),
+    "dense-9x12": lambda: ForwardOperator(np.random.default_rng(5).standard_normal((9, 12))),
+}
+
+
+@pytest.mark.parametrize("operator", sorted(_DRAW_OPERATORS))
+@pytest.mark.parametrize("count", [1, 4095, 4096, 4097, 8193])
+def test_draw_keeps_its_bits(operator, count):
+    # d = 10 and m = 12 or 9 are not multiples of the row block, and the
+    # counts end a chunk one short, exactly, or one or two chunks and one over.
+    model = make_subspace(12, 10, 1.3, seed=4)
+    op = _DRAW_OPERATORS[operator]()
+    noise = NoiseModel(m=op.m, sigma_z=0.7)
+    c_ref, z_ref = _full_chunk_latents(model, noise, count, 11)
+    c, z = draw_latents(model, noise, count, 11)
+    assert np.array_equal(c, c_ref) and np.array_equal(z, z_ref)
+    x, y, c = draw_sample_arrays(model, op, noise, count, 11)
+    assert np.array_equal(c, c_ref)
+    assert np.array_equal(x, model.basis @ c)
+    assert np.array_equal(y, op.matrix @ x + z_ref)
+
+
+def test_draw_holds_its_arrays_and_one_row_block():
+    # No m x N noise array and no chunk-wide temporary: at N = 10 000 the
+    # full noise array alone would be 7.6 MiB.
+    model = make_subspace(100, 50, 1.0, seed=0)
+    op = make_diagonal_operator(100, "linear-decay")
+    noise = NoiseModel(m=100, sigma_z=0.2)
+    tracemalloc.start()
+    try:
+        x, y, c = draw_sample_arrays(model, op, noise, 10000, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= x.nbytes + y.nbytes + c.nbytes + 2**20
 
 
 def test_rng_stream_path_separation():

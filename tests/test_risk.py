@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import jitterlab.risk
 from jitterlab.errors import DegenerateInputError, InvalidDimensionError, InvalidParameterError
 from jitterlab.estimators import (
     LinearEstimator,
@@ -293,6 +294,28 @@ def test_certify_never_holds_a_full_residual():
     finally:
         tracemalloc.stop()
     assert peak < x.nbytes  # one n x N float64 array, 7.6 MiB
+
+
+@pytest.mark.parametrize("n_samples", [_CERTIFY_COLUMNS + 1, 2 * _CERTIFY_COLUMNS + 1])
+def test_certify_folds_a_one_column_tail(monkeypatch, n_samples):
+    # A (k, 1) block would be summed pairwise, not row by row, and its duals
+    # would differ in their last bits from one unblocked pass.
+    model, op, noise = _setup(n=100, d=50, sigma_z=0.2, spectrum="linear-decay")
+    est = optimal_jittering_estimator(model, op, noise, 0.3)
+    x, y = draw_sample_arrays(model, op, noise, n_samples, 3)[:2]
+    grid = [0.1, 0.3, 0.5]
+    seen = {eps: [] for eps in grid}
+
+    def recording(estimator, v, eps):
+        out = dual_values_batch(estimator, v, eps)
+        seen[eps].append(out)
+        return out
+
+    monkeypatch.setattr(jitterlab.risk, "dual_values_batch", recording)
+    certify(est, x, y, grid)
+    v = est.apply(y) - x
+    for eps in grid:
+        assert np.array_equal(np.concatenate(seen[eps]), dual_values_batch(est, v, eps))
 
 
 def test_certify_rejects_non_finite_input():
