@@ -12,8 +12,8 @@ lockstep stacks.  equivalence and sweep draw their evaluation set before
 the map; large-eps maps the runs of all its noise levels at once, and each
 process draws a level's set when it first certifies a run of that level.
 gap maps its eps grid the same way (`training._fork_map`), building and
-certifying each eps's estimators in a worker.  The CSV is the same for any
-worker count.
+certifying each eps's estimators, in d-dimensional latent coordinates, in
+a worker.  The CSV is the same for any worker count.
 
 Risk columns in figure-style CSVs are per-coordinate (total risk divided
 by n); the sweep matrix keeps raw totals since only argmin locations
@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidParameterError
 from .estimators import (
+    LinearEstimator,
     mmse_estimator,
     conjectured_robust_estimator,
     jitter_level_for_eps,
@@ -359,6 +360,12 @@ def cmd_equivalence(cfg: dict) -> str:
     return _emit("equivalence", cfg, columns, rows, cfg["out"])
 
 
+def _latent(est: LinearEstimator, model: SubspaceModel, op: ForwardOperator) -> LinearEstimator:
+    """B = U'HW (d x k) for H = U B W', A U = W diag(lambda) V; an H outside span U, W raises."""
+    left, right = model.basis.T @ est.left, est.right @ op.au_svd(model)[0]
+    return LinearEstimator.from_factors(left, est.singular_values, right)
+
+
 def cmd_gap(cfg: dict) -> str:
     """Standard vs best-jittering vs conjectured estimators, general operator.
 
@@ -366,25 +373,30 @@ def cmd_gap(cfg: dict) -> str:
     at the root of the derivative of the analytic mode-form risk; where
     that risk only falls toward the zero estimator, sigma_w* is inf and
     the `jittering-best` row certifies H = 0.  One evaluation set is drawn
-    for the whole run, then each eps builds its two estimators and
-    certifies all three on that set at its own eps, in parallel, one
+    for the whole run and kept as c (d x N) and W'y (k x N), A U = W
+    diag(lambda) V.  For x = U c and H = U B W', H y - x = U (B W'y - c),
+    and e reaches H only through W'e, of norm in [0, ||e||]: B = U'HW
+    (_latent) on (c, W'y) has H's risk on (x, y).  Each eps builds its two
+    estimators and certifies all three at its own eps, in parallel, one
     forked worker per available CPU.  Risk columns are per-coordinate.
     """
     if cfg["operator"] not in ("linear-decay", "geometric"):
         raise ConfigError("gap needs operator=linear-decay or geometric")
     model, op, noise = _build_setup(cfg)
     n = model.n
-    x, y = draw_sample_arrays(model, op, noise, cfg["eval_samples"], _sub_seed(cfg["seed"], 0))[:2]
-    std = mmse_estimator(model, op, noise)
+    y, c = draw_sample_arrays(model, op, noise, cfg["eval_samples"], _sub_seed(cfg["seed"], 0))[1:]
+    wy = op.au_svd(model)[0].T @ y
+    del y  # the workers hold c and W'y alone
+    std = _latent(mmse_estimator(model, op, noise), model, op)
 
     def certify_at(eps: float) -> list[str]:
-        cells = [_risk_cells(certify(std, x, y, eps), 0, n)]
+        cells = [_risk_cells(certify(std, c, wy, eps), 0, n)]
         if eps == 0.0:
             return cells * 3  # all three estimators are the standard one at eps = 0
         sw_star, _ = best_jitter_level_analytic(model, op, noise, eps)
-        jit = optimal_jittering_estimator(model, op, noise, sw_star)
-        conj, _ = conjectured_robust_estimator(model, op, noise, eps)
-        return cells + [_risk_cells(certify(est, x, y, eps), 0, n) for est in (jit, conj)]
+        jit = _latent(optimal_jittering_estimator(model, op, noise, sw_star), model, op)
+        conj = _latent(conjectured_robust_estimator(model, op, noise, eps)[0], model, op)
+        return cells + [_risk_cells(certify(est, c, wy, eps), 0, n) for est in (jit, conj)]
 
     eps_grid = [float(eps) for eps in cfg["eps_grid"]]
     rows = []

@@ -107,7 +107,9 @@ class ForwardOperator:
     orthonormal rows) depends on the model basis, so it is computed lazily
     and kept for the most recent basis.  The operator holds that basis
     array itself and matches it by identity, so the held basis cannot be
-    freed and have its id reused by another model's basis.
+    freed and have its id reused by another model's basis.  `diagonal` is
+    A's diagonal if A is square and diagonal, else None; A x is then
+    diagonal[:, None] * x, with the matmul's bits (zero terms add nothing).
     """
 
     def __init__(self, matrix: np.ndarray) -> None:
@@ -117,6 +119,8 @@ class ForwardOperator:
         if not np.all(np.isfinite(matrix)):
             raise InvalidParameterError("operator matrix must be finite")
         self.matrix = _readonly(matrix)
+        diag = np.diagonal(self.matrix)
+        self.diagonal = diag if np.array_equal(self.matrix, np.diag(diag)) else None
         self._svd_held: tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
 
     @property
@@ -240,7 +244,10 @@ def draw_sample_arrays(
     for rows, cols, block in c_blocks:
         c[rows, cols] = block
     np.matmul(model.basis, c, out=x)
-    np.matmul(op.matrix, x, out=y)
+    if op.diagonal is None:
+        np.matmul(op.matrix, x, out=y)
+    else:
+        np.multiply(op.diagonal[:, None], x, out=y)
     for rows, cols, block in z_blocks:
         y[rows, cols] += block
     return x, y, c

@@ -16,15 +16,15 @@ only approach it from below.
 
 One private solver, _secular_min, minimizes this dual for a block of
 weight vectors at once by Newton's method on its secular equation (More &
-Sorensen, "Computing a Trust Region Step", 1983).  It serves
+Sorensen, "Computing a Trust Region Step", 1983), started below each root
+and stepping only the columns still moving.  It serves
 inner_max_dual, dual_values_batch and the analytic mode-form risk.
 
 certify is the one Monte-Carlo certification path: on a pre-drawn
 evaluation set, shared by every estimator a driver compares, it averages
 the dual per eps with a 66% confidence interval (mean +- 0.954 SE).  It
 walks the set in fixed blocks of _CERTIFY_COLUMNS columns, so no n x N
-residual is formed and each block's Newton loop stops at its own slowest
-column.  robust_risk_exact is a seeded draw plus certify.
+residual is formed.  robust_risk_exact is a seeded draw plus certify.
 
 best_jitter_level_analytic finds the jitter level whose jittering-optimal
 estimator has the least analytic mode-form risk, a high-dimensional upper
@@ -129,38 +129,53 @@ def _secular_min(s2: np.ndarray, a: np.ndarray, eps: float) -> tuple[np.ndarray,
     is eps^2 - ||p||^2 with p_k = s_k sqrt(a_k) / (mu + gap_k) and
     gap_k = max s2 - s2_k, so the minimizer solves the secular equation
     phi(mu) = 1/||p(mu)|| - 1/eps = 0 (More & Sorensen 1983).  phi is
-    concave and increasing, so Newton's method from the left start
-    mu0 = sqrt(sum_top s_k^2 a_k) / eps (where ||p|| >= eps) rises
-    monotonically to the root and never crosses the pole.
+    concave and increasing, so Newton's method from a left start, where
+    ||p|| >= eps, rises monotonically to the root and never crosses the
+    pole.  With w = s^2 a, the start is the largest of a floor and two lower
+    bounds on the root: sqrt(sum_top w) / eps, and sqrt(sum w) / eps minus
+    the w-weighted mean gap, as ||p||^2 >= sum w / (mu + mean gap)^2 by
+    Jensen.  A converged column leaves the block, which stays in C order and
+    two columns wide or more, as numpy sums an F-ordered or (k, 1) block's
+    columns pairwise, so a column's bits do not depend on its neighbours.
 
     Zero-weight terms drop out: mu never drops below a tiny positive floor,
     so they contribute 0 rather than 0/0.  In the hard case every top-mode
-    weight is 0 and the iteration starts at that floor; if ||p|| <= eps
-    there, the minimizer is the boundary lam = max s2, which the
-    convergence test accepts at once.  A step that is not finite
-    (non-finite weights, or underflow at eps below about 1e-90) or a column
-    still moving after _NEWTON_MAX_ITER steps raises EvaluationError.
+    weight is 0; if ||p|| <= eps at the start, the minimizer is the boundary
+    lam = max s2, which the convergence test accepts at once.  A step that is
+    not finite (non-finite weights, or underflow at eps below about 1e-90) or
+    a column still moving after _NEWTON_MAX_ITER steps raises EvaluationError.
     """
     top = float(s2.max())
     gap = (top - s2)[:, None]
-    w = s2[:, None] * a  # squared numerators of p
-    mu = np.maximum(np.sqrt(w[gap[:, 0] == 0.0].sum(axis=0)) / eps, _MU_FLOOR)
-    with np.errstate(all="ignore"):  # a non-finite step raises below instead
+    w = np.multiply(s2[:, None], a, order="C")  # squared numerators of p
+    with np.errstate(all="ignore"):  # fmax drops the 0/0 at sum w = 0; a bad step raises
+        total = w.sum(axis=0)
+        mu = np.fmax(np.sqrt(w[gap[:, 0] == 0.0].sum(axis=0)) / eps, np.fmax(
+            np.sqrt(total) / eps - (w * gap).sum(axis=0) / total, _MU_FLOOR))
+        cols, w_live, mu_live = np.arange(a.shape[1]), w, mu
         for _ in range(_NEWTON_MAX_ITER):
-            pn2, q = _secular_terms(mu, gap, w)
+            pn2, q = _secular_terms(mu_live, gap, w_live)
             pn = np.sqrt(pn2)
             # Written so that NaN counts as still moving and reaches the check below.
             moving = ~(pn - eps <= _SECULAR_RTOL * eps)
-            if not moving.any():
+            live = np.count_nonzero(moving)
+            if not live:
+                mu[cols] = mu_live
                 break
             step = (pn2 * (pn - eps) / (eps * q))[moving]
             if not np.all(np.isfinite(step)):
                 raise EvaluationError("secular equation produced a non-finite Newton step")
-            mu[moving] += step
+            mu_live[moving] += step
+            if live < moving.size:
+                mu[cols] = mu_live
+                if live == 1:
+                    moving[np.argmin(moving)] = True  # keep a converged column beside it
+                cols, mu_live = cols[moving], mu_live[moving]
+                w_live = np.compress(moving, w_live, axis=1)  # C order, unlike w_live[:, moving]
         else:
             raise EvaluationError(
                 f"secular Newton iteration did not converge in {_NEWTON_MAX_ITER} steps "
-                f"for {np.count_nonzero(moving)} of {a.shape[1]} columns"
+                f"for {live} of {a.shape[1]} columns"
             )
     lam = top + mu
     ratio = mu + gap

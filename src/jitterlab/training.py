@@ -244,9 +244,6 @@ def _train_stack(
     n, m, d = model.n, noise.m, model.d
     k, batch = len(configs), config.batch_size
     basis = model.basis
-    a_mat = op.matrix
-    a_diag = np.diagonal(a_mat)
-    row_scale = a_diag[:, None] if np.array_equal(a_mat, np.diag(a_diag)) else None
     c_scale = model.sigma_c / np.sqrt(d)
     adversarial = config.objective == "adversarial"
     steps = config.attack_steps
@@ -281,11 +278,10 @@ def _train_stack(
                 gen.standard_normal(out=buf[p])
         c *= c_scale
         np.matmul(basis, c, out=x)
-        if row_scale is None:
-            np.matmul(a_mat, x, out=y)
+        if op.diagonal is None:
+            np.matmul(op.matrix, x, out=y)
         else:
-            # The zero off-diagonal terms add nothing to the matmul's sums.
-            np.multiply(row_scale, x, out=y)
+            np.multiply(op.diagonal[:, None], x, out=y)
         if z is not None:
             z *= z_scale
             y += z

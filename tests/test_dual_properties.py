@@ -7,10 +7,11 @@ seconds to the suite and never flakes.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jitterlab.risk as risk
@@ -329,6 +330,53 @@ def test_best_jitter_level_beats_a_brute_force_grid(
     grid_min = min(risk_at(sw) for sw in np.linspace(0.0, 2.0 * sigma_c, 2001))
     assert risk <= grid_min * (1 + 1e-12)
     assert risk == (sigma_c**2 if math.isinf(sw_star) else risk_at(sw_star))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    seeds,
+    st.integers(1, 16),
+    st.integers(2, 40),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([0.0, 0.3, 0.9, 1.0]),
+    st.floats(-6.0, 2.0),
+    st.floats(1e-3, 4.0),
+)
+# Two cases whose lone first column takes other bits when summed as a (k, 1) block.
+@example(5, 9, 3, False, False, 1.0, 0.0, 0.5)
+@example(14, 12, 3, False, False, 1.0, 0.0, 0.5)
+def test_secular_start_and_active_set(seed, k, n_cols, ties, hard, zero_frac, log_scale, eps):
+    # The Newton start is left of the root, and a column's iterates do not
+    # depend on the columns solved beside it.  zero_frac = 1 zeroes every
+    # column but the first, which is then the only one still moving.
+    rng = np.random.default_rng(seed)
+    levels = rng.uniform(0.05, 2.0, k)
+    s2 = rng.choice(levels[:2], k) if ties else levels
+    a = 10.0**log_scale * rng.standard_normal((k, n_cols)) ** 2
+    a[:, 1:][rng.random((k, n_cols - 1)) < zero_frac] = 0.0
+    if hard:
+        a[s2 == s2.max()] = 0.0
+    starts = []
+
+    def recording(mu, gap, w):
+        if not starts:
+            starts.append(mu.copy())
+        return secular_terms(mu, gap, w)
+
+    secular_terms = risk._secular_terms
+    # Twin columns converge together, so no column of `twins` is ever solved alone.
+    twins = np.repeat(a, 2, axis=1)
+    with mock.patch.object(risk, "_secular_terms", recording):
+        values, lam = risk._secular_min(s2, twins, eps)
+    mu0, gap = starts[0], (s2.max() - s2)[:, None]
+    p_norm = np.sqrt((s2[:, None] * twins / (mu0 + gap) ** 2).sum(axis=0))
+    assert np.all((p_norm >= eps * (1 - 1e-12)) | (mu0 == risk._MU_FLOOR))
+    subsets = [np.arange(0, 2 * n_cols, 2)]
+    subsets += [rng.choice(2 * n_cols, size=size, replace=False) for size in (2, n_cols + 1)]
+    for cols in subsets:
+        sub_values, sub_lam = risk._secular_min(s2, twins[:, cols], eps)
+        assert np.array_equal(sub_values, values[cols]) and np.array_equal(sub_lam, lam[cols])
 
 
 def test_non_convergence_raises(monkeypatch):

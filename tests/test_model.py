@@ -100,6 +100,7 @@ def _full_chunk_latents(model, noise, count, seed):
 _DRAW_OPERATORS = {
     "identity": lambda: make_diagonal_operator(12, "identity"),
     "linear-decay": lambda: make_diagonal_operator(12, "linear-decay"),
+    "geometric": lambda: make_diagonal_operator(12, "geometric", 0.7),
     "dense-9x12": lambda: ForwardOperator(np.random.default_rng(5).standard_normal((9, 12))),
 }
 
@@ -119,6 +120,18 @@ def test_draw_keeps_its_bits(operator, count):
     assert np.array_equal(c, c_ref)
     assert np.array_equal(x, model.basis @ c)
     assert np.array_equal(y, op.matrix @ x + z_ref)
+
+
+def test_operator_diagonal_is_set_only_for_a_square_diagonal_matrix():
+    for spectrum in ("identity", "linear-decay", "geometric"):
+        op = make_diagonal_operator(6, spectrum, 0.7)
+        assert np.array_equal(op.diagonal, np.diagonal(op.matrix))
+        with pytest.raises(ValueError):
+            op.diagonal[0] = 2.0
+    off_diagonal = np.diag(np.arange(1.0, 7.0))
+    off_diagonal[0, 5] = 1e-300
+    for matrix in (off_diagonal, np.eye(6)[:5], np.eye(6)[:, :5]):
+        assert ForwardOperator(matrix).diagonal is None
 
 
 def test_draw_holds_its_arrays_and_one_row_block():

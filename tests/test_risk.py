@@ -15,7 +15,10 @@ from jitterlab.estimators import (
     optimal_robust_alpha,
     optimal_robust_denoiser,
 )
-from jitterlab.model import NoiseModel, draw_sample_arrays, make_diagonal_operator, make_subspace
+from jitterlab.experiments import _latent
+from jitterlab.model import (
+    ForwardOperator, NoiseModel, draw_sample_arrays, make_diagonal_operator, make_subspace,
+)
 from jitterlab.risk import (
     _CERTIFY_COLUMNS,
     CI_SCALE,
@@ -281,6 +284,31 @@ def test_certify_equals_residual_dual_ci(kind):
         assert rep.ci_high.tolist() == ref[:, 2].tolist()
         assert rep.eps_grid.tolist() == grid.tolist()
         assert rep.n_samples == n_samples
+
+
+@pytest.mark.parametrize("setting", ["linear-decay-16x5", "dense-9x12-d10"])
+def test_latent_certification_equals_certification_in_n_space(setting):
+    # gap certifies B = U'HW on (c, W'y).  At m = 9 < d = 10, k = 9 and the
+    # part of c outside range(V') is the latent residual's v_perp.
+    if setting == "linear-decay-16x5":
+        model, op, noise = _setup(n=16, d=5, sigma_z=0.4, spectrum="linear-decay")
+    else:
+        model = make_subspace(12, 10, 1.0, seed=3)
+        op = ForwardOperator(np.random.default_rng(5).standard_normal((9, 12)))
+        noise = NoiseModel(m=9, sigma_z=0.4)
+    x, y, c = draw_sample_arrays(model, op, noise, 3000, 7)
+    wy = op.au_svd(model)[0].T @ y
+    grid = np.array([0.0, 0.1, 0.35, 1.0])
+    for est in (
+        mmse_estimator(model, op, noise),
+        optimal_jittering_estimator(model, op, noise, 0.3),
+        conjectured_robust_estimator(model, op, noise, 0.35)[0],
+    ):
+        rep, latent = certify(est, x, y, grid), certify(_latent(est, model, op), c, wy, grid)
+        for field in ("values", "ci_low", "ci_high"):
+            np.testing.assert_allclose(getattr(latent, field), getattr(rep, field), rtol=1e-12, atol=0)
+    with pytest.raises(InvalidParameterError, match="orthonormal"):
+        _latent(_certify_estimator("dense-trained", model, op, noise), model, op)
 
 
 def test_certify_never_holds_a_full_residual():
