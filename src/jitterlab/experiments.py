@@ -11,9 +11,10 @@ available CPU (`training._train_map`), each worker training its share in
 lockstep stacks.  equivalence and sweep draw their evaluation set before
 the map; large-eps maps the runs of all its noise levels at once, and each
 process draws a level's set when it first certifies a run of that level.
-gap maps its eps grid the same way (`training._fork_map`), building and
-certifying each eps's estimators, in d-dimensional latent coordinates, in
-a worker.  The CSV is the same for any worker count.
+gap draws its evaluation set straight into d-dimensional latent
+coordinates, forming no n x N or m x N array, and maps its eps grid the
+same way (`training._fork_map`), building and certifying each eps's
+estimators in a worker.  The CSV is the same for any worker count.
 
 Risk columns in figure-style CSVs are per-coordinate (total risk divided
 by n); the sweep matrix keeps raw totals since only argmin locations
@@ -43,6 +44,7 @@ from .model import (
     ForwardOperator,
     NoiseModel,
     SubspaceModel,
+    _draw_latent_set,
     _sub_seed,
     draw_sample_arrays,
     make_diagonal_operator,
@@ -373,10 +375,11 @@ def cmd_gap(cfg: dict) -> str:
     at the root of the derivative of the analytic mode-form risk; where
     that risk only falls toward the zero estimator, sigma_w* is inf and
     the `jittering-best` row certifies H = 0.  One evaluation set is drawn
-    for the whole run and kept as c (d x N) and W'y (k x N), A U = W
-    diag(lambda) V.  For x = U c and H = U B W', H y - x = U (B W'y - c),
-    and e reaches H only through W'e, of norm in [0, ||e||]: B = U'HW
-    (_latent) on (c, W'y) has H's risk on (x, y).  Each eps builds its two
+    for the whole run straight into c (d x N) and W'y (k x N), A U = W
+    diag(lambda) V, chunk by chunk, without forming x or y.  For x = U c
+    and H = U B W', H y - x = U (B W'y - c), and e reaches H only through
+    W'e, of norm in [0, ||e||]: B = U'HW (_latent) on (c, W'y) has H's
+    risk on (x, y).  Each eps builds its two
     estimators and certifies all three at its own eps, in parallel, one
     forked worker per available CPU.  Risk columns are per-coordinate.
     """
@@ -384,9 +387,7 @@ def cmd_gap(cfg: dict) -> str:
         raise ConfigError("gap needs operator=linear-decay or geometric")
     model, op, noise = _build_setup(cfg)
     n = model.n
-    y, c = draw_sample_arrays(model, op, noise, cfg["eval_samples"], _sub_seed(cfg["seed"], 0))[1:]
-    wy = op.au_svd(model)[0].T @ y
-    del y  # the workers hold c and W'y alone
+    c, wy = _draw_latent_set(model, op, noise, cfg["eval_samples"], _sub_seed(cfg["seed"], 0))
     std = _latent(mmse_estimator(model, op, noise), model, op)
 
     def certify_at(eps: float) -> list[str]:

@@ -9,12 +9,14 @@ is sigma_z^2/m throughout; denoising is the m = n special case.
 
 Randomness comes from counter-based Philox streams keyed by a master seed
 plus a stream path, so sample generation is reproducible bit-for-bit and
-parallelizable by chunk without shared state.  A draw holds X, Y, C and one row block.
+parallelizable by chunk without shared state.  A draw holds X, Y, C and
+one row block; an evaluation set drawn in latent coordinates forms no X or Y.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -24,6 +26,11 @@ from .errors import InvalidDimensionError, InvalidParameterError
 # the first k samples of a run do not depend on how many were requested.  A
 # stream is read _ROW_BLOCK full-width rows at a time, in one full read's order.
 _CHUNK, _ROW_BLOCK = 4096, 8
+# A last column block narrower than this joins the block before it: OpenBLAS
+# may round a product over a narrow tail block unlike the same columns of a
+# wider product, and matches from 255 columns up, at multiples of 64, and for
+# a merged last block.
+_MIN_TAIL = 512
 
 _ORTHO_TOL = 1e-10
 
@@ -194,6 +201,14 @@ def _check_triple(model: SubspaceModel, op: ForwardOperator, noise: NoiseModel) 
         )
 
 
+def _column_blocks(count: int, width: int) -> list[slice]:
+    """`width`-column slices of range(count); a last one under _MIN_TAIL joins the one before it."""
+    starts = list(range(0, count, width))
+    if len(starts) > 1 and count - starts[-1] < _MIN_TAIL:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [count])]
+
+
 def _latent_blocks(model: SubspaceModel, noise: NoiseModel, count: int, seed: int) -> tuple:
     """Row blocks (rows, cols, scaled block) of C, and of Z, from the chunk streams.
 
@@ -251,3 +266,40 @@ def draw_sample_arrays(
     for rows, cols, block in z_blocks:
         y[rows, cols] += block
     return x, y, c
+
+
+def _draw_latent_set(
+    model: SubspaceModel, op: ForwardOperator, noise: NoiseModel, count: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """draw_sample_arrays' C (d x count) and W'Y (k x count), A U = W diag(lambda) V.
+
+    Forms no X or Y: per block of _CHUNK columns (_column_blocks), Y's
+    columns are built in one reused buffer, as A U c plus Z's row blocks,
+    and projected on W into W'Y.  C is filled first, as each chunk stream
+    yields C's rows before Z's.  Both arrays are bit-identical to
+    draw_sample_arrays' C and to W.T @ Y over all columns at once, as far
+    as BLAS rounds a block's columns as it rounds the full product's.
+    """
+    _check_triple(model, op, noise)
+    w = op.au_svd(model)[0]
+    c_blocks, z_blocks = _latent_blocks(model, noise, count, seed)
+    c, wy = np.empty((model.d, count)), np.empty((w.shape[1], count))
+    for rows, cols, block in c_blocks:
+        c[rows, cols] = block
+    blocks = _column_blocks(count, _CHUNK)
+    width = max((cols.stop - cols.start for cols in blocks), default=0)
+    y_buf = np.empty((noise.m, width))
+    x_buf = y_buf if op.diagonal is not None else np.empty((model.n, width))
+    row_blocks = -(-noise.m // _ROW_BLOCK)  # Z's row blocks per chunk stream
+    for cols in blocks:
+        size = cols.stop - cols.start
+        x, y = x_buf[:, :size], y_buf[:, :size]
+        np.matmul(model.basis, c[:, cols], out=x)
+        if op.diagonal is None:
+            np.matmul(op.matrix, x, out=y)
+        else:
+            y *= op.diagonal[:, None]
+        for rows, z_cols, block in islice(z_blocks, row_blocks * -(-size // _CHUNK)):
+            y[rows, z_cols.start - cols.start:z_cols.stop - cols.start] += block
+        np.matmul(w.T, y, out=wy[:, cols])
+    return c, wy

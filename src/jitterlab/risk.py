@@ -23,8 +23,10 @@ inner_max_dual, dual_values_batch and the analytic mode-form risk.
 certify is the one Monte-Carlo certification path: on a pre-drawn
 evaluation set, shared by every estimator a driver compares, it averages
 the dual per eps with a 66% confidence interval (mean +- 0.954 SE).  It
-walks the set in fixed blocks of _CERTIFY_COLUMNS columns, so no n x N
-residual is formed.  robust_risk_exact is a seeded draw plus certify.
+walks the set in fixed blocks of _CERTIFY_COLUMNS columns, a narrow last
+block joined to the one before, so no n x N residual is formed, and
+projects each block once for every eps.  robust_risk_exact is a seeded
+draw plus certify.
 
 best_jitter_level_analytic finds the jitter level whose jittering-optimal
 estimator has the least analytic mode-form risk, a high-dimensional upper
@@ -47,7 +49,9 @@ from .errors import (
     InvalidParameterError,
 )
 from .estimators import LinearEstimator, _increasing_root, _jittering_shrinkage
-from .model import ForwardOperator, NoiseModel, SubspaceModel, _check_triple, draw_sample_arrays
+from .model import (
+    ForwardOperator, NoiseModel, SubspaceModel, _check_triple, _column_blocks, draw_sample_arrays,
+)
 
 # 66% two-sided normal quantile: CI = mean +- 0.954 * SE.
 CI_SCALE = 0.954
@@ -194,28 +198,39 @@ def inner_max_dual(estimator: LinearEstimator, v: np.ndarray, eps: float) -> flo
     return float(dual_values_batch(estimator, v[:, None], eps)[0])
 
 
-def dual_values_batch(estimator: LinearEstimator, v: np.ndarray, eps: float) -> np.ndarray:
-    """inner_max_dual for every column of v (n x N), vectorized.
+def dual_values_batch(
+    estimator: LinearEstimator, v: np.ndarray, eps: float | np.ndarray
+) -> np.ndarray:
+    """inner_max_dual for every column of v (n x N), vectorized, at one eps or a 1-D eps grid.
 
-    All N duals share H's spectrum, so one secular Newton solve runs on the
-    k x N block of weights vt^2 at once, and a converged column stops
-    moving while the others finish.  Non-convergence raises
-    EvaluationError rather than returning a best-so-far value.
+    All N duals share H's spectrum, so one secular Newton solve per radius
+    runs on the k x N block of weights vt^2 at once, and a converged column
+    stops moving while the others finish.  v is projected once for every
+    radius.  A scalar eps gives shape (N,); a grid of R radii gives (R, N),
+    each row with the bits of that radius's scalar call.  Non-convergence
+    raises EvaluationError rather than returning a best-so-far value.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 2 or v.shape[0] != estimator.shape[0]:
         raise InvalidDimensionError(
             f"batch residuals {v.shape} are not n x N for estimator {estimator.shape}"
         )
-    if eps < 0:
+    grid = np.asarray(eps, dtype=float)
+    if grid.ndim > 1:
+        raise InvalidDimensionError(f"eps must be a scalar or a 1-D grid, got shape {grid.shape}")
+    if np.any(grid < 0):
         raise InvalidParameterError(f"eps must be >= 0, got {eps}")
+    radii = np.atleast_1d(grid)
     vnorm2 = (v * v).sum(axis=0)
-    if eps == 0.0 or estimator.sigma_max == 0.0 or v.shape[1] == 0:
-        return vnorm2
-    vt2 = (estimator.left.T @ v) ** 2  # k x N
-    vperp2 = np.maximum(vnorm2 - vt2.sum(axis=0), 0.0)
-    values, _ = _secular_min(estimator.singular_values**2, vt2, eps)
-    return values + vperp2
+    out = np.tile(vnorm2, (radii.size, 1))  # the value at eps = 0, and for H = 0
+    if estimator.sigma_max != 0.0 and v.shape[1] != 0 and np.any(radii != 0.0):
+        vt2 = (estimator.left.T @ v) ** 2  # k x N
+        vperp2 = np.maximum(vnorm2 - vt2.sum(axis=0), 0.0)
+        s2 = estimator.singular_values**2
+        for row, radius in zip(out, radii):
+            if radius != 0.0:
+                np.add(_secular_min(s2, vt2, float(radius))[0], vperp2, out=row)
+    return out if grid.ndim else out[0]
 
 
 def residuals(
@@ -244,12 +259,16 @@ def certify(
 
     x (n x N) and y (m x N) are paired signal and measurement columns.  Per
     block of _CERTIFY_COLUMNS columns the residual H y - x is formed once
-    and each eps takes one batched dual on it; each eps then takes a 66%
-    interval over all N per-sample values.  Each dual is computed column by
-    column, so the block size, fixed to bound the working set, moves a value
-    only where BLAS rounds a narrow block's products unlike the full ones.
-    Callers certify every estimator they compare on the same (x, y), so
-    differences between estimators and between radii are not Monte-Carlo noise.
+    and one batched dual takes every eps on it; each eps then takes a 66%
+    interval over all N per-sample values.  A last block narrower than
+    512 columns joins the block before it (model._column_blocks, the rule
+    the latent evaluation draw shares).  Each dual is computed column by
+    column, so the per-sample values are those of one unblocked pass
+    wherever BLAS rounds a block's products as it rounds the full ones,
+    which OpenBLAS does for blocks of 1024 columns and for a merged or a
+    512-column-or-wider last block.  Callers certify every estimator they
+    compare on the same (x, y), so differences between estimators and
+    between radii are not Monte-Carlo noise.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     n, m = estimator.shape
@@ -261,14 +280,10 @@ def certify(
         raise InvalidParameterError(f"need at least 2 samples, got {x.shape[1]}")
     eps_grid = np.atleast_1d(np.asarray(eps_grid, dtype=float))
     duals = np.empty((eps_grid.size, x.shape[1]))
-    for start in range(0, x.shape[1] - 1, _CERTIFY_COLUMNS):
-        # a one-column tail joins this block, as numpy sums a (k, 1) block pairwise
-        stop = start + _CERTIFY_COLUMNS
-        cols = slice(start, stop if stop + 1 < x.shape[1] else None)
+    for cols in _column_blocks(x.shape[1], _CERTIFY_COLUMNS):
         v = estimator.apply(y[:, cols])
         v -= x[:, cols]
-        for k, eps in enumerate(eps_grid):
-            duals[k, cols] = dual_values_batch(estimator, v, float(eps))
+        duals[:, cols] = dual_values_batch(estimator, v, eps_grid)
     stats = np.array([_mean_ci(row) for row in duals]).reshape(-1, 3)
     values, ci_low, ci_high = stats.T
     return RiskReport(eps_grid, values, ci_low, ci_high, x.shape[1])

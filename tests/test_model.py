@@ -11,9 +11,11 @@ from jitterlab.estimators import (
     ridge_estimator,
 )
 from jitterlab.model import (
+    _CHUNK,
     ForwardOperator,
     NoiseModel,
     SubspaceModel,
+    _draw_latent_set,
     draw_latents,
     draw_sample_arrays,
     make_diagonal_operator,
@@ -149,6 +151,37 @@ def test_draw_holds_its_arrays_and_one_row_block():
     assert peak <= x.nbytes + y.nbytes + c.nbytes + 2**20
 
 
+@pytest.mark.parametrize("count", [4095, 4096, 4097, 4100, 4351, 8193, 10000])
+@pytest.mark.parametrize("kind", ["diagonal", "dense"])
+def test_latent_set_is_the_full_draw_bit_for_bit(kind, count):
+    # Each chunk block is projected on its own; a narrow last block joins the
+    # one before, where OpenBLAS would round its own products unlike the full ones.
+    model = make_subspace(100, 50, 1.0, seed=0)
+    if kind == "diagonal":
+        op = make_diagonal_operator(100, "linear-decay")
+    else:
+        op = ForwardOperator(np.random.default_rng(1).standard_normal((80, 100)))
+    noise = NoiseModel(m=op.m, sigma_z=0.2)
+    _, y, c = draw_sample_arrays(model, op, noise, count, 3)
+    c_latent, wy = _draw_latent_set(model, op, noise, count, 3)
+    assert np.array_equal(c_latent, c)
+    assert np.array_equal(wy, op.au_svd(model)[0].T @ y)
+
+
+def test_latent_set_holds_its_arrays_and_one_chunk_buffer():
+    # No x or y: at N = 10 000 those two alone would take 15.3 MiB.
+    model = make_subspace(100, 50, 1.0, seed=0)
+    op = make_diagonal_operator(100, "linear-decay")
+    noise = NoiseModel(m=100, sigma_z=0.2)
+    tracemalloc.start()
+    try:
+        c, wy = _draw_latent_set(model, op, noise, 10000, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= c.nbytes + wy.nbytes + noise.m * _CHUNK * 8 + 2**20
+
+
 def test_rng_stream_path_separation():
     a = rng_stream(0, 1).standard_normal(4)
     b = rng_stream(0, 2).standard_normal(4)
@@ -222,6 +255,7 @@ def test_operator_model_dimension_mismatch():
 
 _TRIPLE_CALLERS = {
     "draw_sample_arrays": lambda model, op, noise: draw_sample_arrays(model, op, noise, 3, 0),
+    "_draw_latent_set": lambda model, op, noise: _draw_latent_set(model, op, noise, 3, 0),
     "train": lambda model, op, noise: train(model, op, noise, TrainConfig(n_iterations=1)),
     "ridge_estimator": lambda model, op, noise: ridge_estimator(model, op, noise, 0.1),
     "optimal_jittering_estimator":

@@ -324,26 +324,47 @@ def test_certify_never_holds_a_full_residual():
     assert peak < x.nbytes  # one n x N float64 array, 7.6 MiB
 
 
-@pytest.mark.parametrize("n_samples", [_CERTIFY_COLUMNS + 1, 2 * _CERTIFY_COLUMNS + 1])
+@pytest.mark.parametrize("n_samples", [1025, 1026, 1100, 1279, 1535, 1536, 2049])
 def test_certify_folds_a_one_column_tail(monkeypatch, n_samples):
-    # A (k, 1) block would be summed pairwise, not row by row, and its duals
-    # would differ in their last bits from one unblocked pass.
+    # A last block narrower than 512 columns joins the block before it.  On
+    # its own, OpenBLAS may round a narrow tail's products unlike the full
+    # ones, and numpy sums a (k, 1) block pairwise, so its duals would differ
+    # in their last bits from one unblocked pass.
     model, op, noise = _setup(n=100, d=50, sigma_z=0.2, spectrum="linear-decay")
     est = optimal_jittering_estimator(model, op, noise, 0.3)
     x, y = draw_sample_arrays(model, op, noise, n_samples, 3)[:2]
     grid = [0.1, 0.3, 0.5]
-    seen = {eps: [] for eps in grid}
+    seen = []
 
     def recording(estimator, v, eps):
         out = dual_values_batch(estimator, v, eps)
-        seen[eps].append(out)
+        seen.append(out)
         return out
 
     monkeypatch.setattr(jitterlab.risk, "dual_values_batch", recording)
     certify(est, x, y, grid)
     v = est.apply(y) - x
-    for eps in grid:
-        assert np.array_equal(np.concatenate(seen[eps]), dual_values_batch(est, v, eps))
+    unblocked = np.array([dual_values_batch(est, v, eps) for eps in grid])
+    assert np.array_equal(np.concatenate(seen, axis=1), unblocked)
+
+
+def test_dual_batch_grid_rows_equal_scalar_calls():
+    # One projection serves every radius; each row keeps its scalar call's bits.
+    rng = np.random.default_rng(8)
+    h = np.zeros((6, 6))
+    h[:4, :4] = rng.standard_normal((4, 4))
+    v = rng.standard_normal((6, 40))
+    grid = np.array([0.0, 0.2, 0.7, 0.2])
+    for est in (LinearEstimator.from_matrix(h), LinearEstimator.from_matrix(np.zeros((6, 6)))):
+        out = dual_values_batch(est, v, grid)
+        assert out.shape == (4, 40)
+        assert np.array_equal(out, np.array([dual_values_batch(est, v, eps) for eps in grid]))
+    assert dual_values_batch(est, v[:, :0], grid).shape == (4, 0)
+    assert dual_values_batch(est, v, 0.2).shape == (40,)
+    with pytest.raises(InvalidParameterError):
+        dual_values_batch(est, v, [0.1, -0.1])
+    with pytest.raises(InvalidDimensionError):
+        dual_values_batch(est, v, grid[:, None])
 
 
 def test_certify_rejects_non_finite_input():
