@@ -5,16 +5,17 @@ CLI flags), derives every random stream from one master seed, and writes
 CSV atomically (temp file + rename).  The first line of every CSV is a
 comment recording the SHA-256 hash of the canonical config string together
 with the full configuration, so artifacts are self-describing and re-runs
-are byte-identical.  The training drivers (equivalence, large-eps, sweep)
-train and certify their independent runs over one forked worker per
-available CPU (`training._train_map`), each worker training its share in
-lockstep stacks.  equivalence and sweep draw their evaluation set before
-the map; large-eps maps the runs of all its noise levels at once, and each
-process draws a level's set when it first certifies a run of that level.
-gap draws its evaluation set straight into d-dimensional latent
-coordinates, forming no n x N or m x N array, and maps its eps grid the
-same way (`training._fork_map`), building and certifying each eps's
-estimators in a worker.  The CSV is the same for any worker count.
+are byte-identical.  Every driver but alpha-curve maps its items over this
+process and one forked worker per available CPU (`training._map_shares`),
+which prepares each share once and finishes its items in order; the CSV is
+the same for any worker count.  The training drivers (equivalence,
+large-eps, sweep) prepare a share by training its runs in lockstep stacks
+(`training._train_map`) and finish a run by certifying it.  equivalence
+and sweep draw their evaluation set before the map; large-eps maps all
+its noise levels' runs at once, and each process draws a level's set when
+it first certifies a run of that level.  gap draws its set straight into
+latent coordinates (no n x N or m x N array); a share certifies the
+standard estimator once over its radii, then each eps its other two.
 
 Risk columns in figure-style CSVs are per-coordinate (total risk divided
 by n); the sweep matrix keeps raw totals since only argmin locations
@@ -53,7 +54,7 @@ from .model import (
 from .risk import (
     RiskReport, _check_eval_samples, best_jitter_level_analytic, certify, standard_risk_closed_form,
 )
-from .training import TrainConfig, _fork_map, _train_map, sweep_jitter_levels
+from .training import TrainConfig, _map_shares, _train_map, sweep_jitter_levels
 
 COMMANDS = ("alpha-curve", "equivalence", "gap", "large-eps", "sweep")
 
@@ -180,8 +181,9 @@ _UNREAD_KEYS: dict[str, tuple[str, ...]] = {
 
 
 def parse_config_file(path: str) -> dict[str, str]:
-    """Flat key=value lines; '#' starts a comment, blank lines ignored."""
+    """Flat key=value lines, each key at most once; '#' starts a comment, blank lines ignored."""
     raw: dict[str, str] = {}
+    seen: dict[str, int] = {}  # key -> the line that set it
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -190,8 +192,10 @@ def parse_config_file(path: str) -> dict[str, str]:
                     continue
                 if "=" not in stripped:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
-                key, _, value = stripped.partition("=")
-                raw[key.strip()] = value.strip()
+                key, _, value = (part.strip() for part in stripped.partition("="))
+                if seen.setdefault(key, lineno) != lineno:
+                    raise ConfigError(f"{path}:{lineno}: {key!r} already set on line {seen[key]}")
+                raw[key] = value
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return raw
@@ -379,9 +383,11 @@ def cmd_gap(cfg: dict) -> str:
     diag(lambda) V, chunk by chunk, without forming x or y.  For x = U c
     and H = U B W', H y - x = U (B W'y - c), and e reaches H only through
     W'e, of norm in [0, ||e||]: B = U'HW (_latent) on (c, W'y) has H's
-    risk on (x, y).  Each eps builds its two
-    estimators and certifies all three at its own eps, in parallel, one
-    forked worker per available CPU.  Risk columns are per-coordinate.
+    risk on (x, y).  Each process of the map certifies the standard
+    estimator once over its share of the eps grid, then each eps's other
+    two; a failure of the former is charged to the share's first eps, and
+    as gap's errors name no radius, the CLI's error line changes only where
+    two radii fail differently.  Risk columns are per-coordinate.
     """
     if cfg["operator"] not in ("linear-decay", "geometric"):
         raise ConfigError("gap needs operator=linear-decay or geometric")
@@ -389,19 +395,23 @@ def cmd_gap(cfg: dict) -> str:
     n = model.n
     c, wy = _draw_latent_set(model, op, noise, cfg["eval_samples"], _sub_seed(cfg["seed"], 0))
     std = _latent(mmse_estimator(model, op, noise), model, op)
+    eps_grid = [float(eps) for eps in cfg["eps_grid"]]
 
-    def certify_at(eps: float) -> list[str]:
-        cells = [_risk_cells(certify(std, c, wy, eps), 0, n)]
+    def certify_std(share: list[int]) -> list[str]:
+        report = certify(std, c, wy, [eps_grid[i] for i in share])
+        return [_risk_cells(report, k, n) for k in range(len(share))]
+
+    def certify_at(i: int, std_cells: str) -> list[str]:
+        eps = eps_grid[i]
         if eps == 0.0:
-            return cells * 3  # all three estimators are the standard one at eps = 0
+            return [std_cells] * 3  # all three estimators are the standard one at eps = 0
         sw_star, _ = best_jitter_level_analytic(model, op, noise, eps)
         jit = _latent(optimal_jittering_estimator(model, op, noise, sw_star), model, op)
         conj = _latent(conjectured_robust_estimator(model, op, noise, eps)[0], model, op)
-        return cells + [_risk_cells(certify(est, c, wy, eps), 0, n) for est in (jit, conj)]
+        return [std_cells] + [_risk_cells(certify(est, c, wy, eps), 0, n) for est in (jit, conj)]
 
-    eps_grid = [float(eps) for eps in cfg["eps_grid"]]
     rows = []
-    for eps, cells in zip(eps_grid, _fork_map(certify_at, eps_grid)):
+    for eps, cells in zip(eps_grid, _map_shares(certify_std, certify_at, range(len(eps_grid)))):
         for method, cell in zip(("standard", "jittering-best", "conjectured"), cells):
             rows.append(f"{method},{_g(eps)},{_g(eps**2 / model.sigma_c**2)},{cell}\n")
     return _emit("gap", cfg, "method,eps,eps_sq_rel,risk,ci_low,ci_high", rows, cfg["out"])

@@ -115,8 +115,8 @@ class ForwardOperator:
     and kept for the most recent basis.  The operator holds that basis
     array itself and matches it by identity, so the held basis cannot be
     freed and have its id reused by another model's basis.  `diagonal` is
-    A's diagonal if A is square and diagonal, else None; A x is then
-    diagonal[:, None] * x, with the matmul's bits (zero terms add nothing).
+    A's diagonal if A is square and diagonal, else None; `apply` then scales
+    x's rows by it, with the matmul's bits (zero terms add nothing).
     """
 
     def __init__(self, matrix: np.ndarray) -> None:
@@ -133,6 +133,12 @@ class ForwardOperator:
     @property
     def m(self) -> int:
         return self.matrix.shape[0]
+
+    def apply(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """A x (x: (..., n, N)) into out; a row scaling if A is diagonal, when out may be x."""
+        if self.diagonal is None:
+            return np.matmul(self.matrix, x, out=out)
+        return np.multiply(self.diagonal[:, None], x, out=out)
 
     @property
     def n(self) -> int:
@@ -259,10 +265,7 @@ def draw_sample_arrays(
     for rows, cols, block in c_blocks:
         c[rows, cols] = block
     np.matmul(model.basis, c, out=x)
-    if op.diagonal is None:
-        np.matmul(op.matrix, x, out=y)
-    else:
-        np.multiply(op.diagonal[:, None], x, out=y)
+    op.apply(x, out=y)
     for rows, cols, block in z_blocks:
         y[rows, cols] += block
     return x, y, c
@@ -295,10 +298,7 @@ def _draw_latent_set(
         size = cols.stop - cols.start
         x, y = x_buf[:, :size], y_buf[:, :size]
         np.matmul(model.basis, c[:, cols], out=x)
-        if op.diagonal is None:
-            np.matmul(op.matrix, x, out=y)
-        else:
-            y *= op.diagonal[:, None]
+        op.apply(x, out=y)
         for rows, z_cols, block in islice(z_blocks, row_blocks * -(-size // _CHUNK)):
             y[rows, z_cols.start - cols.start:z_cols.stop - cols.start] += block
         np.matmul(w.T, y, out=wy[:, cols])

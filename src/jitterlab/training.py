@@ -65,29 +65,23 @@ _BETA1, _BETA2, _EPS_HAT = 0.9, 0.999, 1e-8
 _mapping = False
 
 
-def _run_share(fn, share: list) -> tuple[list, Exception | None]:
-    """fn over share in order, stopping at the first exception, which is returned."""
+def _run_share(prepare, finish, share: list) -> tuple[list, Exception | None]:
+    """finish(i, v) over share and prepare(share) in order: (values, first exception or None)."""
     values = []
-    for item in share:
-        try:
-            values.append(fn(item))
-        except Exception as exc:  # handed to _map_shares, which re-raises it
-            return values, exc
+    try:
+        for i, value in zip(share, prepare(share), strict=True):
+            values.append(finish(i, value))
+    except Exception as exc:  # handed to _map_shares, which re-raises it
+        return values, exc
     return values, None
 
 
-def _fork_worker(run_share, share: list, conn) -> None:
-    conn.send(run_share(share))
+def _fork_worker(prepare, finish, share: list, conn) -> None:
+    conn.send(_run_share(prepare, finish, share))
     conn.close()
 
 
-def _fork_map(fn, items) -> list:
-    """[fn(item) for item in items], split over this process and forked children."""
-    items = list(items)
-    return _map_shares(lambda share: _run_share(lambda i: fn(items[i]), share), range(len(items)))
-
-
-def _map_shares(run_share, order) -> list:
+def _map_shares(prepare, finish, order) -> list:
     """Results for items 0, ..., N - 1, in shares run by this process and forked children.
 
     order lists the N item indices, dealt round-robin over P processes, so
@@ -95,13 +89,14 @@ def _map_shares(run_share, order) -> list:
     per CPU this process may run on, capped at N; it is 1 on a platform
     with no CPU affinity or no fork start method, and when called from
     inside a share.  This process runs order[P - 1::P], the smallest
-    share, since it also forks, joins and writes the output.
-    run_share(share) gets a share's indices in ascending order and returns
-    (values, exc): the results for a prefix of share, and the exception
-    that stopped it there, or None.  Only results and exceptions cross the
-    pipes (pickled), so run_share may be a closure over data the caller
-    prepared before the call.  The exception of the first failing item in
-    item order is raised, as the plain loop would raise it.
+    share, since it also forks, joins and writes the output.  Each process
+    calls prepare(share) once, on its share's indices in ascending order,
+    for one value per item, then finish(i, value) per item in order, for
+    item i's result; an exception from prepare is charged to the share's
+    first item.  Only results and exceptions cross the pipes (pickled), so
+    prepare and finish may be closures over data the caller prepared
+    before the call.  The exception of the first failing item in item
+    order is raised, as the plain loop would raise it.
     """
     global _mapping
     order = list(order)
@@ -113,7 +108,7 @@ def _map_shares(run_share, order) -> list:
         import multiprocessing  # lazily: only runs that fork pay for the import
 
         if "fork" in multiprocessing.get_all_start_methods():
-            # fork, not spawn: workers see run_share's closure and its arrays
+            # fork, not spawn: workers see the closures and their arrays
             # copy-on-write, with no re-import and no pickled inputs.
             ctx = multiprocessing.get_context("fork")
         else:
@@ -125,11 +120,11 @@ def _map_shares(run_share, order) -> list:
     try:
         for share in shares[:-1]:
             recv, send = ctx.Pipe(duplex=False)
-            worker = ctx.Process(target=_fork_worker, args=(run_share, share, send))
+            worker = ctx.Process(target=_fork_worker, args=(prepare, finish, share, send))
             worker.start()
             send.close()
             workers.append((worker, recv))
-        own = run_share(shares[-1])
+        own = _run_share(prepare, finish, shares[-1])
         for worker, recv in workers:
             try:
                 done.append(recv.recv())
@@ -278,10 +273,7 @@ def _train_stack(
                 gen.standard_normal(out=buf[p])
         c *= c_scale
         np.matmul(basis, c, out=x)
-        if op.diagonal is None:
-            np.matmul(op.matrix, x, out=y)
-        else:
-            np.multiply(op.diagonal[:, None], x, out=y)
+        op.apply(x, out=y)
         if z is not None:
             z *= z_scale
             y += z
@@ -438,24 +430,17 @@ def _train_map(
     runs of each (noise model, stack key) are dealt round-robin over the
     processes, the deal going on from one key to the next, so every
     process gets a like share of each kind of run.  Each process trains its
-    share with _train_runs, then finishes it in item order; the first
-    failing item in item order raises, as the plain loop would (see
-    _map_shares).
+    share with _train_runs, _map_shares' prepare, then finishes it in item
+    order; the first failing item in item order raises (see _map_shares).
     """
-
-    def run_share(share: list) -> tuple[list, Exception | None]:
-        try:
-            runs = _train_runs(
-                model, op, [noises[i] for i in share], [configs[i] for i in share]
-            )
-        except Exception as exc:  # not one run's own failure: charged to the share's first item
-            return [], exc
-        return _run_share(
-            lambda item: finish(item[0], functools.partial(_outcome, item[1])), zip(share, runs)
-        )
-
     keys = [(noise, _stack_key(config)) for noise, config in zip(noises, configs, strict=True)]
-    return _map_shares(run_share, sorted(range(len(configs)), key=lambda i: keys.index(keys[i])))
+    return _map_shares(
+        lambda share: _train_runs(
+            model, op, [noises[i] for i in share], [configs[i] for i in share]
+        ),
+        lambda i, run: finish(i, functools.partial(_outcome, run)),
+        sorted(range(len(configs)), key=lambda i: keys.index(keys[i])),
+    )
 
 
 @dataclass(frozen=True)

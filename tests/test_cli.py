@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import jitterlab.experiments
 import jitterlab.model
 import jitterlab.training
 from jitterlab.cli import main
@@ -293,6 +294,40 @@ def test_drivers_draw_the_evaluation_set_once(tmp_path, monkeypatch, command):
 @pytest.mark.parametrize(
     "cpus", [{0}, {0, 1}, {0, 1, 2}], ids=["one-cpu", "two-cpus", "three-cpus"]
 )
+def test_gap_certifies_its_standard_estimator_once_per_share(tmp_path, monkeypatch, cpus):
+    # Each process of gap's map certifies the standard estimator in one call
+    # over its share of the eps grid: one call per share, each radius in
+    # exactly one call.  The standard estimator is gap's first _latent
+    # result, made before the map.  Calls are logged to a file, as forked
+    # workers cannot append to this process's lists.
+    log = tmp_path / "certify.log"
+    latents = []
+    real_latent, real_certify = jitterlab.experiments._latent, jitterlab.experiments.certify
+
+    def latent(est, model, op):
+        latents.append(real_latent(est, model, op))
+        return latents[-1]
+
+    def certify(est, x, y, eps_grid):
+        if est is latents[0]:
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {np.atleast_1d(eps_grid).tolist()}\n")
+        return real_certify(est, x, y, eps_grid)
+
+    monkeypatch.setattr(jitterlab.experiments, "_latent", latent)
+    monkeypatch.setattr(jitterlab.experiments, "certify", certify)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    cfg = resolve_config("gap", {"n": "12", "d": "4", "eval_samples": "20"})
+    COMMAND_FUNCS["gap"](cfg)
+    calls = [line.split(" ", 1) for line in log.read_text().splitlines()]
+    assert len(calls) == len({pid for pid, _ in calls}) == len(cpus)
+    radii = sorted(eps for _, grid in calls for eps in json.loads(grid))
+    assert radii == sorted(cfg["eps_grid"])
+
+
+@pytest.mark.parametrize(
+    "cpus", [{0}, {0, 1}, {0, 1, 2}], ids=["one-cpu", "two-cpus", "three-cpus"]
+)
 def test_large_eps_raises_the_first_failing_run(tmp_path, monkeypatch, cpus):
     # All levels train in one map.  Two runs of the last level fail, in
     # different processes when there are several: the earlier in item order
@@ -362,6 +397,10 @@ def test_parse_config_file_rejects_garbage(tmp_path):
 
     with pytest.raises(ConfigError):
         parse_config_file(str(bad))
+    twice = tmp_path / "twice.cfg"
+    twice.write_text("n=8\nd=2\nn=12\n")
+    with pytest.raises(ConfigError, match="twice.cfg:3: 'n' already set on line 1$"):
+        parse_config_file(str(twice))
 
 
 def test_m_follows_n_unless_explicit():

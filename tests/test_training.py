@@ -20,7 +20,7 @@ from jitterlab.model import (
     ForwardOperator, NoiseModel, _sub_seed, make_diagonal_operator, make_subspace, rng_stream,
 )
 from jitterlab.training import (
-    _MAX_STACK, TrainConfig, TrainTrace, _fork_map, _train_map, _train_runs, _train_stack,
+    _MAX_STACK, TrainConfig, TrainTrace, _map_shares, _train_map, _train_runs, _train_stack,
     sweep_jitter_levels, train,
 )
 
@@ -465,15 +465,23 @@ def _two_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
+def _item_map(fn, items):
+    """[fn(item) for item in items] through _map_shares, with a per-item prepare."""
+    items = list(items)
+    return _map_shares(
+        lambda share: [items[i] for i in share], lambda i, item: fn(item), range(len(items))
+    )
+
+
 def test_fork_map_matches_plain_loop_in_order(monkeypatch):
     _two_cpus(monkeypatch)
     items = list(range(7))
     square = lambda i: np.arange(i) ** 2  # a closure cannot be pickled, only forked
-    got = _fork_map(square, items)
+    got = _item_map(square, items)
     assert len(got) == len(items)
     for a, b in zip(got, [square(i) for i in items]):
         assert np.array_equal(a, b)
-    pairs = _fork_map(_pid_of, items)
+    pairs = _item_map(_pid_of, items)
     assert [item for item, _ in pairs] == items
     # item k runs in process k mod 2: the parent takes the last, smaller share,
     # the odd items
@@ -481,7 +489,7 @@ def test_fork_map_matches_plain_loop_in_order(monkeypatch):
     assert {pid for item, pid in pairs if item % 2 == 0} - {os.getpid()}
     # three processes: shares {0, 3, 6}, {1, 4} and the parent's {2, 5}
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    pairs = _fork_map(_pid_of, items)
+    pairs = _item_map(_pid_of, items)
     assert [item for item, _ in pairs] == items
     pids = [pid for _, pid in pairs]
     assert [item for item, pid in pairs if pid == os.getpid()] == [2, 5]
@@ -510,10 +518,49 @@ def test_fork_map_raises_first_failing_item(monkeypatch, cpus, failing):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     first = min(failing)
     with pytest.raises(TrainingDivergenceError, match=f"item {first}$") as info:
-        _fork_map(lambda item: _diverge(item, failing), range(8))
+        _item_map(lambda item: _diverge(item, failing), range(8))
     trace = info.value.trace
     assert np.array_equal(trace.iterations, [0, first])
     assert np.array_equal(trace.estimator.matrix, np.full((2, 3), float(first)))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    ("cpus", "bad", "failing", "raised"),
+    [
+        ({0}, 5, {3}, "prepare 0"),
+        ({0, 1}, 5, {0}, "finish 0"),
+        ({0, 1}, 5, {2}, "prepare 1"),
+        ({0, 1}, 4, {3}, "prepare 0"),
+        ({0, 1, 2}, 5, {1}, "finish 1"),
+        ({0, 1, 2}, 5, {4}, "prepare 2"),
+        ({0, 1, 2}, 3, {2, 4}, "prepare 0"),
+    ],
+    ids=["one-cpu", "two-finish-first", "two-parent-prepare", "two-worker-prepare",
+         "three-finish-first", "three-parent-prepare", "three-worker-prepare"],
+)
+def test_map_shares_charges_a_failing_prepare_to_its_shares_first_item(
+    monkeypatch, cpus, bad, failing, raised
+):
+    # The share holding item `bad` fails in prepare, which charges its first
+    # item; finish fails at the items in `failing`.  Shares: {0..7} on one
+    # CPU; worker {0, 2, 4, 6} and parent {1, 3, 5, 7} on two; workers
+    # {0, 3, 6}, {1, 4, 7} and parent {2, 5} on three.  The exception of the
+    # first failing item in item order is raised.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+
+    def prepare(share):
+        if bad in share:
+            raise ValueError(f"prepare {share[0]}")
+        return list(share)
+
+    def finish(i, item):
+        if i in failing:
+            raise ValueError(f"finish {i}")
+        return item
+
+    with pytest.raises(ValueError, match=f"^{raised}$"):
+        _map_shares(prepare, finish, range(8))
     assert multiprocessing.active_children() == []
 
 
@@ -523,7 +570,7 @@ def test_fork_map_single_cpu_runs_in_process(monkeypatch, affinity):
         monkeypatch.delattr(os, "sched_getaffinity")
     else:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert _fork_map(_pid_of, range(5)) == [(i, os.getpid()) for i in range(5)]
+    assert _item_map(_pid_of, range(5)) == [(i, os.getpid()) for i in range(5)]
 
 
 def test_fork_map_reports_a_dead_worker(monkeypatch):
@@ -535,7 +582,7 @@ def test_fork_map_reports_a_dead_worker(monkeypatch):
         return item
 
     with pytest.raises(ChildProcessError, match="code 3"):
-        _fork_map(die_on_even, range(4))
+        _item_map(die_on_even, range(4))
     assert multiprocessing.active_children() == []
 
 
@@ -543,9 +590,9 @@ def test_fork_map_nested_call_runs_in_process(monkeypatch):
     _two_cpus(monkeypatch)
 
     def inner_pids(item):
-        return os.getpid(), {pid for _, pid in _fork_map(_pid_of, range(4))}
+        return os.getpid(), {pid for _, pid in _item_map(_pid_of, range(4))}
 
-    outer = _fork_map(inner_pids, range(4))
+    outer = _item_map(inner_pids, range(4))
     assert len({pid for pid, _ in outer}) == 2
     for pid, inner in outer:
         assert inner == {pid}
