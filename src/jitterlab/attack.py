@@ -29,17 +29,15 @@ import numpy as np
 
 from .errors import AttackDivergenceError, InvalidParameterError
 from .estimators import LinearEstimator
-from .model import rng_stream
+from .model import _check_nonnegative, _check_positive, rng_stream
 
 
 def _check_budget(eps: float | np.ndarray, n_steps: int, step_scale: float) -> None:
     """eps is one radius or an array of them, one per stacked run."""
-    radii = np.asarray(eps, dtype=float)
-    if not (np.all(np.isfinite(radii)) and np.all(radii >= 0)
-            and math.isfinite(step_scale) and step_scale > 0):
-        raise InvalidParameterError(f"need finite eps >= 0, step_scale > 0; got {eps}, {step_scale}")
-    if not n_steps >= 1:
-        raise InvalidParameterError(f"need n_steps >= 1, got {n_steps}")
+    _check_nonnegative(eps=eps)
+    _check_positive(n_steps=n_steps, step_scale=step_scale)
+    if not (np.all(np.isfinite(eps)) and math.isfinite(step_scale)):
+        raise InvalidParameterError(f"need finite eps and step_scale, got {eps}, {step_scale}")
 
 
 @dataclass(frozen=True)
@@ -57,8 +55,7 @@ class AttackConfig:
 
     def __post_init__(self) -> None:
         _check_budget(self.eps, self.n_steps, self.step_scale)
-        if not self.n_restarts >= 1:
-            raise InvalidParameterError(f"need n_restarts >= 1, got {self.n_restarts}")
+        _check_positive(n_restarts=self.n_restarts)
 
 
 def _column_norms(a: np.ndarray, sq: np.ndarray, out: np.ndarray) -> None:
@@ -167,7 +164,8 @@ def pgd_perturb_batch(
     best-iterate tracking.  Leading axes of h (..., n, m), x and y stack
     independent runs; eps is then one radius or an array of per-run radii
     shaped to broadcast against (..., 1, 1), and each run's slice gets the
-    bits of its own call.
+    bits of its own call.  A non-finite result raises AttackDivergenceError
+    with the whole result attached as `.perturbation`.
     """
     _check_budget(eps, n_steps, step_scale)
     e = np.zeros_like(y)
@@ -178,5 +176,7 @@ def pgd_perturb_batch(
     for _ in _pgd_iterates(h, r0, e, eps, n_steps, step_scale):
         pass
     if not np.all(np.isfinite(e)):
-        raise AttackDivergenceError("batch attack produced non-finite perturbations")
+        exc = AttackDivergenceError("batch attack produced non-finite perturbations")
+        exc.perturbation = e
+        raise exc
     return e

@@ -35,7 +35,10 @@ from .errors import (
     InvalidParameterError,
     OutOfRegimeError,
 )
-from .model import ForwardOperator, NoiseModel, SubspaceModel, _check_triple, _readonly
+from .model import (
+    ForwardOperator, NoiseModel, SubspaceModel, _check_nonnegative, _check_positive, _check_triple,
+    _readonly,
+)
 
 _FACTOR_TOL = 1e-8
 # A bisection follows _STALE_STEPS steps in a row that fail to halve the
@@ -150,12 +153,13 @@ class LinearEstimator:
             raise InvalidDimensionError(
                 f"factor shapes {left.shape}, {s.shape}, {right.shape} do not chain"
             )
-        if np.any(s < 0) or not np.all(np.isfinite(s)):
-            raise InvalidParameterError("singular values must be finite and >= 0")
+        _check_nonnegative(singular_values=s)
+        if not np.all(np.isfinite(s)):
+            raise InvalidParameterError("singular values must be finite")
         if k:
             err_l = np.abs(left.T @ left - np.eye(k)).max()
             err_r = np.abs(right @ right.T - np.eye(k)).max()
-            if max(err_l, err_r) > _FACTOR_TOL:
+            if not (err_l <= _FACTOR_TOL and err_r <= _FACTOR_TOL):  # NaN fails
                 raise InvalidParameterError(
                     f"factors not orthonormal: errors {err_l:.2e}, {err_r:.2e}"
                 )
@@ -220,9 +224,8 @@ class ShrinkageProfile:
         lambda_i = np.asarray(self.lambda_i, dtype=float)
         if sigma_i.shape != lambda_i.shape or sigma_i.ndim != 1:
             raise InvalidDimensionError("sigma_i and lambda_i must be matching 1-D arrays")
-        if np.any(sigma_i < 0):
-            raise InvalidParameterError("shrinkage factors must be >= 0")
-        if np.any(sigma_i**2 > self.lambda_star + 1e-12):
+        _check_nonnegative(sigma_i=sigma_i)
+        if not np.all(sigma_i**2 <= self.lambda_star + 1e-12):  # NaN fails
             raise InvalidParameterError(
                 "dual constraint violated: max sigma_i^2 = "
                 f"{(sigma_i**2).max():.6e} > lambda_star = {self.lambda_star:.6e}"
@@ -238,8 +241,8 @@ def optimal_robust_alpha(sigma_c: float, sigma_z: float, d: int, n: int, eps: fl
              / sqrt(sigma_c^2 + sigma_z^2 d/n - eps^2)) / (sigma_c^2 + sigma_z^2 d/n)
     when eps^2 < sigma_c^2, and 0 past that transition.
     """
-    if sigma_c <= 0 or sigma_z < 0 or eps < 0:
-        raise InvalidParameterError("need sigma_c > 0, sigma_z >= 0, eps >= 0")
+    _check_positive(sigma_c=sigma_c)
+    _check_nonnegative(sigma_z=sigma_z, eps=eps)
     sc2 = sigma_c**2
     if eps**2 >= sc2:
         return 0.0
@@ -265,8 +268,8 @@ def jittering_denoiser_alpha(
     sigma_c: float, sigma_z: float, d: int, n: int, sigma_w: float
 ) -> float:
     """Jittering-risk-minimizing shrinkage for denoising at jitter level sigma_w."""
-    if sigma_c <= 0 or sigma_z < 0 or sigma_w < 0:
-        raise InvalidParameterError("need sigma_c > 0, sigma_z >= 0, sigma_w >= 0")
+    _check_positive(sigma_c=sigma_c)
+    _check_nonnegative(sigma_z=sigma_z, sigma_w=sigma_w)
     sc2 = sigma_c**2
     return float(sc2 / (sc2 + sigma_z**2 * d / n + sigma_w**2 * d))
 
@@ -281,8 +284,8 @@ def jitter_level_for_eps(
                      / (d (sigma_c^2 - eps^2)),
     defined for eps^2 < sigma_c^2.
     """
-    if sigma_c <= 0 or sigma_z < 0 or eps < 0:
-        raise InvalidParameterError("need sigma_c > 0, sigma_z >= 0, eps >= 0")
+    _check_positive(sigma_c=sigma_c)
+    _check_nonnegative(sigma_z=sigma_z, eps=eps)
     sc2 = sigma_c**2
     if eps**2 >= sc2:
         raise OutOfRegimeError(
@@ -313,8 +316,7 @@ def optimal_jittering_estimator(
     H = (U V') diag(sigma_i) W' with the per-mode shrinkage of
     _jittering_shrinkage.
     """
-    if sigma_w < 0:
-        raise InvalidParameterError(f"sigma_w must be >= 0, got {sigma_w}")
+    _check_nonnegative(sigma_w=sigma_w)
     _check_triple(model, op, noise)
     w, lam, v = op.au_svd(model)
     sigma = _jittering_shrinkage(model, noise, lam, sigma_w)
@@ -348,10 +350,7 @@ def conjectured_robust_estimator(
     F has kinks at lam = 1/lam_i^2, where the mode's term is taken as its
     right limit, 0.
     """
-    if eps <= 0:
-        raise InvalidParameterError(f"eps must be > 0, got {eps}")
-    if model.sigma_c <= 0:
-        raise InvalidParameterError(f"need sigma_c > 0, got {model.sigma_c}")
+    _check_positive(eps=eps, sigma_c=model.sigma_c)
     _check_triple(model, op, noise)
     w, lam_fwd, v = op.au_svd(model)
     observed = lam_fwd > 0.0
@@ -389,8 +388,7 @@ def ridge_estimator(
     optimal_jittering_estimator) so the identity ridge(sigma_w^2) ==
     jittering(sigma_w) is a real cross-check: H = E[x y'] (E[y y'] + reg I)^{-1}.
     """
-    if reg < 0:
-        raise InvalidParameterError(f"reg must be >= 0, got {reg}")
+    _check_nonnegative(reg=reg)
     _check_triple(model, op, noise)
     b = op.matrix @ model.basis  # m x d
     s2 = model.sigma_c**2 / model.d

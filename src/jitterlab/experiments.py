@@ -32,7 +32,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import ConfigError, InvalidParameterError
+from .errors import ConfigError
 from .estimators import (
     LinearEstimator,
     mmse_estimator,
@@ -45,6 +45,8 @@ from .model import (
     ForwardOperator,
     NoiseModel,
     SubspaceModel,
+    _check_nonnegative,
+    _check_positive,
     _draw_latent_set,
     _sub_seed,
     draw_sample_arrays,
@@ -62,8 +64,7 @@ COMMANDS = ("alpha-curve", "equivalence", "gap", "large-eps", "sweep")
 def _parse_int(text: str) -> int:
     """An integer >= 0: every integer key is a size, a count or the seed."""
     value = int(text)
-    if value < 0:
-        raise ValueError("value must be >= 0")
+    _check_nonnegative(value=value)
     return value
 
 
@@ -83,8 +84,7 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     if text.strip() == "":
         return ()
     values = tuple(_parse_float(tok) for tok in text.split(","))
-    if any(value < 0 for value in values):
-        raise ValueError("values must be >= 0")
+    _check_nonnegative(values=values)
     return values
 
 
@@ -196,7 +196,7 @@ def parse_config_file(path: str) -> dict[str, str]:
                 if seen.setdefault(key, lineno) != lineno:
                     raise ConfigError(f"{path}:{lineno}: {key!r} already set on line {seen[key]}")
                 raw[key] = value
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return raw
 
@@ -434,8 +434,7 @@ def cmd_large_eps(cfg: dict) -> str:
     if cfg["operator"] != "identity":
         raise ConfigError("large-eps runs the denoising setup: operator=identity")
     sigma_c = cfg["sigma_c"]
-    if not sigma_c > 0:  # eps = sqrt(eps_sq_rel) * sigma_c would all be 0
-        raise InvalidParameterError(f"need sigma_c > 0, got {sigma_c}")
+    _check_positive(sigma_c=sigma_c)  # eps = sqrt(eps_sq_rel) * sigma_c would all be 0
     model, op, _ = _build_setup(cfg)  # each level sets its own sigma_z
     levels = cfg["noise_levels"]
     noises = [NoiseModel(m=cfg["m"], sigma_z=float(level * np.sqrt(cfg["n"]))) for level in levels]

@@ -11,6 +11,9 @@ Randomness comes from counter-based Philox streams keyed by a master seed
 plus a stream path, so sample generation is reproducible bit-for-bit and
 parallelizable by chunk without shared state.  A draw holds X, Y, C and
 one row block; an evaluation set drawn in latent coordinates forms no X or Y.
+
+Every numeric parameter's range is one rule, _check_nonnegative (>= 0) or
+_check_positive (> 0) on numbers or arrays: NaN fails, and the error names it.
 """
 
 from __future__ import annotations
@@ -50,6 +53,20 @@ def _sub_seed(master: int, *path: int) -> int:
     return int(np.random.SeedSequence(master, spawn_key=path).generate_state(1)[0])
 
 
+def _check_nonnegative(**values) -> None:
+    """The one range rule: each named number or array is >= 0 throughout; NaN fails it."""
+    for name, value in values.items():
+        if not (np.asarray(value) >= 0.0).all():
+            raise InvalidParameterError(f"{name} must be >= 0, got {value}")
+
+
+def _check_positive(**values) -> None:
+    """_check_nonnegative's strict twin: each named number or array is > 0 throughout."""
+    for name, value in values.items():
+        if not (np.asarray(value) > 0.0).all():
+            raise InvalidParameterError(f"{name} must be > 0, got {value}")
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float, copy=True, order="C")
     out.setflags(write=False)
@@ -71,12 +88,13 @@ class SubspaceModel:
         if d == 0 or d > n:
             raise InvalidDimensionError(f"need 1 <= d <= n, got n={n}, d={d}")
         gram_err = np.abs(basis.T @ basis - np.eye(d)).max()
-        if gram_err > _ORTHO_TOL:
+        if not gram_err <= _ORTHO_TOL:  # NaN fails
             raise InvalidParameterError(
                 f"basis columns not orthonormal: max |U'U - I| = {gram_err:.3e}"
             )
-        if not (self.sigma_c >= 0.0) or not np.isfinite(self.sigma_c):
-            raise InvalidParameterError(f"sigma_c must be finite and >= 0, got {self.sigma_c!r}")
+        _check_nonnegative(sigma_c=self.sigma_c)
+        if not np.isfinite(self.sigma_c):
+            raise InvalidParameterError(f"sigma_c must be finite, got {self.sigma_c!r}")
         object.__setattr__(self, "basis", _readonly(basis))
 
     @property
@@ -96,10 +114,11 @@ class NoiseModel:
     sigma_z: float
 
     def __post_init__(self) -> None:
-        if self.m < 1:
+        if not self.m >= 1:
             raise InvalidDimensionError(f"m must be >= 1, got {self.m}")
-        if not (self.sigma_z >= 0.0) or not np.isfinite(self.sigma_z):
-            raise InvalidParameterError(f"sigma_z must be finite and >= 0, got {self.sigma_z!r}")
+        _check_nonnegative(sigma_z=self.sigma_z)
+        if not np.isfinite(self.sigma_z):
+            raise InvalidParameterError(f"sigma_z must be finite, got {self.sigma_z!r}")
 
     @property
     def per_coordinate_std(self) -> float:
@@ -180,7 +199,7 @@ def make_diagonal_operator(n: int, spectrum: str, ratio: float | None = None) ->
     descending along the coordinates), or "geometric" (values ratio^i for
     i = 1..n, descending along the coordinates; requires 0 < ratio <= 1).
     """
-    if n < 1:
+    if not n >= 1:
         raise InvalidDimensionError(f"n must be >= 1, got {n}")
     if spectrum == "identity":
         diag = np.ones(n)
@@ -220,8 +239,7 @@ def _latent_blocks(model: SubspaceModel, noise: NoiseModel, count: int, seed: in
 
     Chunk j's rng_stream(seed, j) gives C's rows, then Z's: exhaust C's blocks first.
     """
-    if count < 0:
-        raise InvalidParameterError(f"count must be >= 0, got {count}")
+    _check_nonnegative(count=count)
     streams = [rng_stream(seed, start // _CHUNK) for start in range(0, count, _CHUNK)]
 
     def blocks(n_rows, scale):

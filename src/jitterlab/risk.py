@@ -50,7 +50,8 @@ from .errors import (
 )
 from .estimators import LinearEstimator, _increasing_root, _jittering_shrinkage
 from .model import (
-    ForwardOperator, NoiseModel, SubspaceModel, _check_triple, _column_blocks, draw_sample_arrays,
+    ForwardOperator, NoiseModel, SubspaceModel, _check_nonnegative, _check_triple, _column_blocks,
+    draw_sample_arrays,
 )
 
 # 66% two-sided normal quantile: CI = mean +- 0.954 * SE.
@@ -80,9 +81,8 @@ class RiskReport:
             raise InvalidDimensionError("report arrays must share one shape")
         if not np.isfinite([val, lo, hi]).all():
             raise InvalidParameterError("risk values and bounds must be finite")
-        if np.any(val < 0):
-            raise InvalidParameterError("risk values must be >= 0")
-        if np.any(lo > val) or np.any(val > hi):
+        _check_nonnegative(values=val)
+        if not np.all((lo <= val) & (val <= hi)):
             raise InvalidParameterError("need ci_low <= value <= ci_high per entry")
         for name, arr in (("eps_grid", eps), ("values", val), ("ci_low", lo), ("ci_high", hi)):
             arr.setflags(write=False)
@@ -210,16 +210,15 @@ def dual_values_batch(
     each row with the bits of that radius's scalar call.  Non-convergence
     raises EvaluationError rather than returning a best-so-far value.
     """
+    grid = np.asarray(eps, dtype=float)
+    _check_nonnegative(eps=grid)
     v = np.asarray(v, dtype=float)
     if v.ndim != 2 or v.shape[0] != estimator.shape[0]:
         raise InvalidDimensionError(
             f"batch residuals {v.shape} are not n x N for estimator {estimator.shape}"
         )
-    grid = np.asarray(eps, dtype=float)
     if grid.ndim > 1:
         raise InvalidDimensionError(f"eps must be a scalar or a 1-D grid, got shape {grid.shape}")
-    if np.any(grid < 0):
-        raise InvalidParameterError(f"eps must be >= 0, got {eps}")
     radii = np.atleast_1d(grid)
     vnorm2 = (v * v).sum(axis=0)
     out = np.tile(vnorm2, (radii.size, 1))  # the value at eps = 0, and for H = 0
@@ -247,8 +246,8 @@ def residuals(
 
 
 def _check_eval_samples(eval_samples: int) -> None:
-    """certify needs two samples; callers say so before any draw or training."""
-    if eval_samples < 2:
+    """certify needs two samples; it checks its set, callers check before drawing or training."""
+    if not eval_samples >= 2:
         raise InvalidParameterError(f"need eval_samples >= 2, got {eval_samples}")
 
 
@@ -276,8 +275,7 @@ def certify(
         raise InvalidDimensionError(
             f"estimator {estimator.shape} does not match signals {x.shape}, measurements {y.shape}"
         )
-    if x.shape[1] < 2:
-        raise InvalidParameterError(f"need at least 2 samples, got {x.shape[1]}")
+    _check_eval_samples(x.shape[1])
     eps_grid = np.atleast_1d(np.asarray(eps_grid, dtype=float))
     duals = np.empty((eps_grid.size, x.shape[1]))
     for cols in _column_blocks(x.shape[1], _CERTIFY_COLUMNS):
@@ -307,8 +305,7 @@ def standard_risk_closed_form(
     alpha: float, sigma_c: float, sigma_z: float, d: int, n: int
 ) -> float:
     """Exact unperturbed risk of the denoiser H = alpha U U'."""
-    if sigma_c < 0 or sigma_z < 0:
-        raise InvalidParameterError("scales must be >= 0")
+    _check_nonnegative(sigma_c=sigma_c, sigma_z=sigma_z)
     return float(sigma_c**2 * (alpha - 1.0) ** 2 + alpha**2 * sigma_z**2 * d / n)
 
 
@@ -326,8 +323,7 @@ def worst_case_perturbation_projection(
     with the residual attains the inner maximum exactly.  The direction
     degenerates only when that vector vanishes.
     """
-    if eps < 0:
-        raise InvalidParameterError(f"eps must be >= 0, got {eps}")
+    _check_nonnegative(eps=eps)
     c = np.asarray(c, dtype=float)
     z = np.asarray(z, dtype=float)
     direction = (alpha - 1.0) * c + alpha * (model.basis.T @ z)
@@ -349,8 +345,7 @@ def jittering_risk_closed_form(
     J(H) = tr((HA - I) U U' (HA - I)') sigma_c^2/d
            + tr(H H') (sigma_z^2/m + sigma_w^2).
     """
-    if sigma_w < 0:
-        raise InvalidParameterError(f"sigma_w must be >= 0, got {sigma_w}")
+    _check_nonnegative(sigma_w=sigma_w)
     _check_triple(model, op, noise)
     if estimator.shape != (model.n, noise.m):
         raise InvalidDimensionError(f"estimator {estimator.shape} is not {model.n} x {noise.m}")
@@ -393,16 +388,13 @@ def robust_risk_mode_form(
         raise InvalidDimensionError("sigma_i and lambda_i must share a shape")
     if sigma_i.shape[0] > d:
         raise InvalidDimensionError("more modes than subspace dimensions")
-    if eps < 0:
-        raise InvalidParameterError(f"eps must be >= 0, got {eps}")
+    _check_nonnegative(sigma_c=sigma_c, sigma_z=sigma_z, eps=eps)
     s2 = sigma_c**2 / d
     z2 = sigma_z**2 / m
     num = (sigma_i * lambda_i - 1.0) ** 2 * s2 + sigma_i**2 * z2
     tail = (d - sigma_i.shape[0]) * s2  # unobserved modes, shrinkage 0
-    if eps == 0.0:
-        return float(num.sum() + tail), 0.0
     shr2 = sigma_i**2
-    if float(shr2.max()) == 0.0:
+    if eps == 0.0 or not shr2.any():
         return float(num.sum() + tail), 0.0
     values, lam = _secular_min(shr2, num[:, None], eps)
     return float(values[0] + tail), float(lam[0])

@@ -51,8 +51,8 @@ from .attack import pgd_perturb_batch
 from .errors import AttackDivergenceError, InvalidParameterError, TrainingDivergenceError
 from .estimators import LinearEstimator
 from .model import (
-    ForwardOperator, NoiseModel, SubspaceModel, _check_triple, _sub_seed, draw_sample_arrays,
-    rng_stream,
+    ForwardOperator, NoiseModel, SubspaceModel, _check_nonnegative, _check_positive, _check_triple,
+    _sub_seed, draw_sample_arrays, rng_stream,
 )
 from .risk import RiskReport, _check_eval_samples, certify
 
@@ -180,22 +180,18 @@ class TrainConfig:
             value = getattr(self, field)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise InvalidParameterError(f"{field} must be an int, got {value!r}")
-        if self.seed < 0:
-            raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
         if self.objective not in _OBJECTIVES:
             raise InvalidParameterError(f"objective must be one of {_OBJECTIVES}")
         if self.optimizer not in _OPTIMIZERS:
             raise InvalidParameterError(f"optimizer must be one of {_OPTIMIZERS}")
         if not np.all(np.isfinite((self.eps, self.sigma_w, self.lr))):
             raise InvalidParameterError("eps, sigma_w and lr must be finite")
-        if self.lr <= 0 or self.batch_size < 1 or self.n_iterations < 1:
-            raise InvalidParameterError("need lr > 0, batch_size >= 1, n_iterations >= 1")
-        if self.eps < 0 or self.sigma_w < 0:
-            raise InvalidParameterError("eps and sigma_w must be >= 0")
-        if not (0.0 <= self.momentum < 1.0):
-            raise InvalidParameterError("momentum must lie in [0, 1)")
-        if self.attack_steps < 1 or self.record_every < 1:
-            raise InvalidParameterError("attack_steps and record_every must be >= 1")
+        _check_nonnegative(seed=self.seed, eps=self.eps, sigma_w=self.sigma_w,
+                           momentum=self.momentum)
+        _check_positive(lr=self.lr, batch_size=self.batch_size, n_iterations=self.n_iterations,
+                        attack_steps=self.attack_steps, record_every=self.record_every)
+        if not self.momentum < 1.0:
+            raise InvalidParameterError(f"momentum must be < 1, got {self.momentum}")
 
 
 @dataclass(frozen=True)
@@ -281,16 +277,11 @@ def _train_stack(
         if adversarial:
             try:
                 yt = pgd_perturb_batch(h, x, y, eps, steps)
-            except AttackDivergenceError:
-                # Each run's own attack decides: a failing run keeps its error
-                # and a NaN yt, whose loss stops it below.
-                yt = np.full_like(y, np.nan)
-                for p, i in enumerate(live):
-                    one = slice(p, p + 1)
-                    try:
-                        yt[one] = pgd_perturb_batch(h[one], x[one], y[one], eps[one], steps)
-                    except AttackDivergenceError as exc:
-                        outcomes[i] = exc
+            except AttackDivergenceError as exc:
+                # Each slice is its own call's result; a non-finite one stops its run below.
+                yt = exc.perturbation
+                for p in np.flatnonzero(~np.isfinite(yt).all(axis=(1, 2))):
+                    outcomes[live[p]] = AttackDivergenceError(*exc.args)
             yt += y
         else:
             yt = y
@@ -475,13 +466,14 @@ def sweep_jitter_levels(
     `base_config` carries every non-objective knob.  The grid points
     train and certify in parallel, one forked worker per available CPU
     training its share in lockstep stacks (`_train_map`); the result does
-    not depend on the worker count.  eval_samples < 2 is rejected before
-    any draw or training.
+    not depend on the worker count.  eval_samples < 2, an empty grid and a
+    negative or NaN grid value are rejected before any draw or training.
     """
     eps_grid = np.atleast_1d(np.asarray(eps_grid, dtype=float))
     sigma_w_grid = np.atleast_1d(np.asarray(sigma_w_grid, dtype=float))
     if eps_grid.size == 0 or sigma_w_grid.size == 0:
         raise InvalidParameterError("grids must be non-empty")
+    _check_nonnegative(eps_grid=eps_grid, sigma_w_grid=sigma_w_grid)
     _check_eval_samples(eval_samples)
     base = base_config if base_config is not None else TrainConfig()
     configs = [

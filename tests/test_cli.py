@@ -21,6 +21,9 @@ from jitterlab.experiments import (
     resolve_config,
 )
 
+# A config file holding the byte 0xff, which no UTF-8 text contains.
+NOT_UTF8 = os.path.join(os.path.dirname(__file__), "data", "not_utf8.cfg")
+
 
 def _read_rows(path):
     lines = open(path).read().strip().splitlines()
@@ -119,6 +122,7 @@ def test_bad_list_fails_with_json_error_and_writes_nothing(tmp_path, capsys, arg
     (["large-eps", "--sigma-z", "0.9"], "ConfigError"),
     (["alpha-curve", "--sigma-w-grid", "0.1"], "ConfigError"),
     (["alpha-curve", "--config", "/nonexistent-dir/run.cfg"], "ConfigError"),
+    (["gap", "--config", str(NOT_UTF8)], "ConfigError"),
     (["gap", "--lr", "7"], "ConfigError"),
     (["alpha-curve", "--n", "7"], "ConfigError"),
     (["equivalence", "--ratio", "0.1"], "ConfigError"),
@@ -126,7 +130,8 @@ def test_bad_list_fails_with_json_error_and_writes_nothing(tmp_path, capsys, arg
         "large-eps-one-sample", "sweep-no-sample", "gap-one-sample", "equivalence-bogus-operator",
         "gap-bogus-operator", "large-eps-bogus-operator", "sweep-bogus-operator",
         "alpha-curve-sigma-z", "large-eps-sigma-z", "alpha-curve-unused-key",
-        "missing-config-file", "gap-training-key", "alpha-curve-size-key", "equivalence-ratio"])
+        "missing-config-file", "non-utf-8-config-file", "gap-training-key",
+        "alpha-curve-size-key", "equivalence-ratio"])
 def test_bad_value_fails_with_one_json_line_and_writes_nothing(tmp_path, capfd, args, error):
     # capfd, not capsys: gap's forked workers write to the file descriptor.
     # The case's flag comes last, so that it overrides the small sizes.  A
@@ -401,6 +406,8 @@ def test_parse_config_file_rejects_garbage(tmp_path):
     twice.write_text("n=8\nd=2\nn=12\n")
     with pytest.raises(ConfigError, match="twice.cfg:3: 'n' already set on line 1$"):
         parse_config_file(str(twice))
+    with pytest.raises(ConfigError, match="cannot read config file .*not_utf8.cfg"):
+        parse_config_file(str(NOT_UTF8))
 
 
 def test_m_follows_n_unless_explicit():

@@ -24,11 +24,12 @@ from jitterlab.estimators import (
     optimal_jittering_estimator,
     ridge_estimator,
 )
-from jitterlab.model import NoiseModel, make_diagonal_operator, make_subspace
+from jitterlab.model import ForwardOperator, NoiseModel, make_diagonal_operator, make_subspace
 from jitterlab.risk import (
     best_jitter_level_analytic,
     dual_values_batch,
     inner_max_dual,
+    jittering_risk_closed_form,
     robust_risk_mode_form,
 )
 
@@ -242,6 +243,29 @@ def test_mode_form_lambda_solves_secular_equation(seed, k, sigma_c, sigma_z, eps
         # lam - max s2 carries an absolute rounding error of a few ulp(lam).
         slack = 1e-9 + 8 * np.finfo(float).eps * lam / (lam - top2)
         assert abs(p_norm - eps) <= slack * eps
+
+
+@_FAST
+@given(seeds, st.integers(1, 8), st.integers(1, 8), st.integers(1, 8), st.floats(0.1, 2.0),
+       st.floats(0.0, 1.0))
+@example(0, 6, 4, 2, 1.0, 0.5)  # a wide operator: A U has k = 2 < d = 4 modes
+def test_mode_form_at_zero_eps_is_the_standard_risk(seed, n, d, m, sigma_c, sigma_z):
+    # At eps = 0 the bound of an aligned estimator H = (U V') diag(sigma) W'
+    # is its exact standard risk: the sum of the per-mode numerators, plus
+    # sigma_c^2/d for each of the d - k modes A U does not observe.
+    d = min(d, n)
+    rng = np.random.default_rng(seed)
+    model = make_subspace(n, d, sigma_c, seed=seed)
+    op = ForwardOperator(rng.standard_normal((m, n)))
+    noise = NoiseModel(m=m, sigma_z=sigma_z)
+    w, lam, v = op.au_svd(model)
+    sigma = rng.uniform(0.0, 2.0, lam.size)
+    s2, z2 = sigma_c**2 / d, sigma_z**2 / m
+    num = (sigma * lam - 1.0) ** 2 * s2 + sigma**2 * z2
+    value, lam_star = robust_risk_mode_form(sigma, lam, sigma_c, sigma_z, d, m, 0.0)
+    assert (value, lam_star) == (float(num.sum() + (d - lam.size) * s2), 0.0)
+    est = LinearEstimator.from_factors(model.basis @ v.T, sigma, w.T)
+    assert value == pytest.approx(jittering_risk_closed_form(est, model, op, noise, 0.0), rel=1e-12)
 
 
 spectra = st.sampled_from(["identity", "linear-decay", "geometric"])

@@ -1,0 +1,162 @@
+"""Input guards: the one range rule on every public radius, scale and weight,
+and one case for each guard that no other test reaches."""
+
+import inspect
+
+import numpy as np
+import pytest
+
+import jitterlab
+from jitterlab.errors import InvalidDimensionError, InvalidParameterError
+from jitterlab.estimators import LinearEstimator, ShrinkageProfile, mmse_estimator
+from jitterlab.model import (
+    ForwardOperator, NoiseModel, SubspaceModel, draw_sample_arrays, make_diagonal_operator,
+    make_subspace,
+)
+from jitterlab.risk import (
+    RiskReport, dual_values_batch, jittering_risk_closed_form, robust_risk_mode_form,
+)
+from jitterlab.training import TrainConfig, _train_stack, sweep_jitter_levels
+
+# Parameter names that carry a radius, a scale or a regularization weight.
+RANGED = ("eps", "eps_grid", "sigma_c", "sigma_z", "sigma_w", "sigma_w_grid", "reg")
+# Result records: they hold what a computation returned, not an input.
+RESULTS = ("RiskReport", "SweepResult")
+
+
+def _setup():
+    model = make_subspace(6, 3, 1.0, seed=0)
+    op = make_diagonal_operator(6, "linear-decay")
+    noise = NoiseModel(m=6, sigma_z=0.5)
+    return model, op, noise
+
+
+def _arguments() -> dict:
+    """One valid argument per parameter name of the public callables that take a ranged one.
+
+    v is inner_max_dual's one column; dual_values_batch checks eps before v's shape.
+    """
+    model, op, noise = _setup()
+    estimator = mmse_estimator(model, op, noise)
+    x, y = draw_sample_arrays(model, op, noise, 4, seed=1)[:2]
+    return {
+        "model": model, "op": op, "noise": noise, "estimator": estimator,
+        "basis": model.basis, "h": estimator.matrix, "x": x, "y": y, "v": x[:, 0],
+        "c": np.ones(model.d), "z": np.zeros(model.n), "alpha": 0.5,
+        "sigma_i": np.full(model.d, 0.5), "lambda_i": np.ones(model.d),
+        "n": model.n, "d": model.d, "m": noise.m, "seed": 0,
+        "n_steps": 2, "n_samples": 4, "eval_samples": 4, "base_config": TrainConfig(n_iterations=1),
+        "eps": 0.2, "eps_grid": np.array([0.0, 0.2]), "sigma_c": 1.0, "sigma_z": 0.5,
+        "sigma_w": 0.1, "sigma_w_grid": np.array([0.0, 0.1]), "reg": 0.01,
+    }
+
+
+def _ranged_parameters() -> list[tuple[str, str]]:
+    """(public name, parameter) for each ranged parameter of a public callable."""
+    pairs = []
+    for name in sorted(jitterlab.__all__):
+        obj = getattr(jitterlab, name)
+        exception = isinstance(obj, type) and issubclass(obj, Exception)
+        if callable(obj) and not exception and name not in RESULTS:
+            pairs += [(name, p) for p in inspect.signature(obj).parameters if p in RANGED]
+    return pairs
+
+
+PAIRS = _ranged_parameters()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -1.0], ids=["nan", "negative"])
+@pytest.mark.parametrize("name, param", PAIRS, ids=[f"{name}-{param}" for name, param in PAIRS])
+def test_ranged_parameter_rejects_nan_and_negatives(name, param, bad):
+    # Every public callable with a ranged parameter rejects NaN and -1 there,
+    # naming it; a new parameter name needs a value in _arguments first.
+    func, values = getattr(jitterlab, name), _arguments()
+    kwargs = {param: bad}
+    for other, spec in inspect.signature(func).parameters.items():
+        if other != param and other in values:
+            kwargs[other] = values[other]
+        elif other != param and spec.default is inspect.Parameter.empty:
+            pytest.fail(f"{name}: no test value for parameter {other!r}")
+    with pytest.raises(InvalidParameterError, match=param.removesuffix("_grid")):
+        func(**kwargs)
+
+
+def test_ranged_parameters_cover_the_public_api():
+    # The scan above finds classes and functions alike, and leaves out the results.
+    assert {("optimal_robust_alpha", "eps"), ("conjectured_robust_estimator", "eps"),
+            ("robust_risk_mode_form", "sigma_z"), ("sweep_jitter_levels", "sigma_w_grid"),
+            ("ridge_estimator", "reg"), ("AttackConfig", "eps")} <= set(PAIRS)
+    assert not any(name in RESULTS for name, _ in PAIRS)
+
+
+def _with_setup(call):
+    return lambda: call(*_setup())
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: LinearEstimator.from_matrix(np.ones(3)), InvalidDimensionError,
+                 id="from-matrix-not-2d"),
+    pytest.param(lambda: LinearEstimator.from_matrix(np.array([[1.0, np.inf]])),
+                 InvalidParameterError, id="from-matrix-non-finite"),
+    pytest.param(lambda: LinearEstimator.from_factors(np.eye(3)[:, :2], np.ones(3), np.eye(3)),
+                 InvalidDimensionError, id="from-factors-do-not-chain"),
+    pytest.param(lambda: LinearEstimator.from_factors(np.eye(3)[:, :2], np.array([1.0, np.inf]),
+                                                      np.eye(2)),
+                 InvalidParameterError, id="from-factors-non-finite-singular-values"),
+    pytest.param(lambda: LinearEstimator.from_factors(np.full((3, 2), np.nan), np.ones(2),
+                                                      np.eye(2)),
+                 InvalidParameterError, id="from-factors-nan-left-factor"),
+    pytest.param(lambda: LinearEstimator.from_factors(np.eye(3)[:, :2], np.ones(2),
+                                                      np.full((2, 2), np.nan)),
+                 InvalidParameterError, id="from-factors-nan-right-factor"),
+    pytest.param(lambda: ShrinkageProfile(np.ones(2), np.ones(3), 1.0), InvalidDimensionError,
+                 id="shrinkage-profile-shapes"),
+    pytest.param(lambda: ShrinkageProfile(np.ones(2), np.ones(2), np.nan), InvalidParameterError,
+                 id="shrinkage-profile-nan-dual-variable"),
+    pytest.param(lambda: RiskReport(np.zeros(2), np.ones(1), np.ones(1), np.ones(1), 10),
+                 InvalidDimensionError, id="risk-report-shapes"),
+    pytest.param(lambda: RiskReport(np.zeros(1), -np.ones(1), -np.ones(1), np.ones(1), 10),
+                 InvalidParameterError, id="risk-report-negative-value"),
+    pytest.param(lambda: SubspaceModel(np.ones(3), 1.0), InvalidDimensionError,
+                 id="subspace-basis-not-2d"),
+    pytest.param(lambda: SubspaceModel(np.ones((3, 0)), 1.0), InvalidDimensionError,
+                 id="subspace-d-zero"),
+    pytest.param(lambda: SubspaceModel(np.ones((2, 3)), 1.0), InvalidDimensionError,
+                 id="subspace-d-above-n"),
+    pytest.param(lambda: SubspaceModel(np.full((3, 2), np.nan), 1.0), InvalidParameterError,
+                 id="subspace-nan-basis"),
+    pytest.param(lambda: ForwardOperator(np.ones(3)), InvalidDimensionError,
+                 id="operator-not-2d"),
+    pytest.param(lambda: ForwardOperator(np.array([[1.0, np.nan]])), InvalidParameterError,
+                 id="operator-non-finite"),
+    pytest.param(lambda: make_diagonal_operator(0, "identity"), InvalidDimensionError,
+                 id="diagonal-operator-n-zero"),
+    pytest.param(lambda: robust_risk_mode_form(np.ones(2), np.ones(3), 1.0, 0.5, 4, 4, 0.1),
+                 InvalidDimensionError, id="mode-form-shapes"),
+    pytest.param(lambda: robust_risk_mode_form(np.ones(3), np.ones(3), 1.0, 0.5, 2, 4, 0.1),
+                 InvalidDimensionError, id="mode-form-more-modes-than-d"),
+    pytest.param(_with_setup(lambda model, op, noise: jittering_risk_closed_form(
+        LinearEstimator.from_matrix(np.ones((model.n, noise.m + 1))), model, op, noise, 0.1)),
+                 InvalidDimensionError, id="jittering-risk-estimator-shape"),
+    pytest.param(lambda: TrainConfig(momentum=1.0), InvalidParameterError,
+                 id="train-config-momentum-one"),
+    pytest.param(lambda: TrainConfig(momentum=-0.1), InvalidParameterError,
+                 id="train-config-momentum-negative"),
+    pytest.param(lambda: TrainConfig(attack_steps=0), InvalidParameterError,
+                 id="train-config-attack-steps-zero"),
+    pytest.param(lambda: TrainConfig(record_every=0), InvalidParameterError,
+                 id="train-config-record-every-zero"),
+    pytest.param(_with_setup(lambda *setup: _train_stack(*setup, [TrainConfig(),
+                                                                  TrainConfig(lr=0.01)])),
+                 InvalidParameterError, id="train-stack-mixed-keys"),
+    pytest.param(_with_setup(lambda *setup: sweep_jitter_levels(*setup, [], [0.1], 4, 0)),
+                 InvalidParameterError, id="sweep-empty-eps-grid"),
+    pytest.param(_with_setup(lambda *setup: sweep_jitter_levels(*setup, [0.1], [], 4, 0)),
+                 InvalidParameterError, id="sweep-empty-sigma-w-grid"),
+    pytest.param(lambda: dual_values_batch(LinearEstimator.from_matrix(np.zeros((3, 3))),
+                                           np.ones((3, 2)), np.nan),
+                 InvalidParameterError, id="dual-zero-estimator-nan-eps"),
+])
+def test_guard_raises_its_error(call, error):
+    with pytest.raises(error):
+        call()
