@@ -29,11 +29,12 @@ import numpy as np
 
 from .errors import AttackDivergenceError, InvalidParameterError
 from .estimators import LinearEstimator
-from .model import _check_nonnegative, _check_positive, rng_stream
+from .model import _check_integer, _check_nonnegative, _check_positive, rng_stream
 
 
 def _check_budget(eps: float | np.ndarray, n_steps: int, step_scale: float) -> None:
     """eps is one radius or an array of them, one per stacked run."""
+    _check_integer(n_steps=n_steps)
     _check_nonnegative(eps=eps)
     _check_positive(n_steps=n_steps, step_scale=step_scale)
     if not (np.all(np.isfinite(eps)) and math.isfinite(step_scale)):
@@ -55,6 +56,7 @@ class AttackConfig:
 
     def __post_init__(self) -> None:
         _check_budget(self.eps, self.n_steps, self.step_scale)
+        _check_integer(n_restarts=self.n_restarts)
         _check_positive(n_restarts=self.n_restarts)
 
 

@@ -5,17 +5,19 @@ CLI flags), derives every random stream from one master seed, and writes
 CSV atomically (temp file + rename).  The first line of every CSV is a
 comment recording the SHA-256 hash of the canonical config string together
 with the full configuration, so artifacts are self-describing and re-runs
-are byte-identical.  Every driver but alpha-curve maps its items over this
-process and one forked worker per available CPU (`training._map_shares`),
-which prepares each share once and finishes its items in order; the CSV is
-the same for any worker count.  The training drivers (equivalence,
-large-eps, sweep) prepare a share by training its runs in lockstep stacks
-(`training._train_map`) and finish a run by certifying it.  equivalence
-and sweep draw their evaluation set before the map; large-eps maps all
-its noise levels' runs at once, and each process draws a level's set when
-it first certifies a run of that level.  gap draws its set straight into
-latent coordinates (no n x N or m x N array); a share certifies the
-standard estimator once over its radii, then each eps its other two.
+are byte-identical.  Every driver but alpha-curve prepares its shared
+inputs in this process, forks one worker per available CPU (none on one
+CPU), maps its items over them (`training._map_shares`), joins them and
+writes the CSV, which is the same for any worker count.  Each worker
+prepares its share once and finishes its items in order.  The training
+drivers (equivalence, large-eps, sweep) prepare a share by training its
+runs in lockstep stacks (`training._train_map`) and finish a run by
+certifying it.  equivalence and sweep draw their evaluation set before the
+map; large-eps maps all its noise levels' runs at once, and each process
+draws a level's set when it first certifies a run of that level.  gap
+draws its set straight into latent coordinates (no n x N or m x N array);
+a share certifies the standard estimator once over its radii, then each
+eps its other two.
 
 Risk columns in figure-style CSVs are per-coordinate (total risk divided
 by n); the sweep matrix keeps raw totals since only argmin locations

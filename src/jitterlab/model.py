@@ -14,10 +14,12 @@ one row block; an evaluation set drawn in latent coordinates forms no X or Y.
 
 Every numeric parameter's range is one rule, _check_nonnegative (>= 0) or
 _check_positive (> 0) on numbers or arrays: NaN fails, and the error names it.
+A count is also checked by _check_integer: an int, not a bool or a float.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from itertools import islice
 
@@ -65,6 +67,13 @@ def _check_positive(**values) -> None:
     for name, value in values.items():
         if not (np.asarray(value) > 0.0).all():
             raise InvalidParameterError(f"{name} must be > 0, got {value}")
+
+
+def _check_integer(**values) -> None:
+    """Each named value is an integer (numbers.Integral, but not bool)."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise InvalidParameterError(f"{name} must be an int, got {value!r}")
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:

@@ -33,15 +33,16 @@ scaling; all of this gives the bits of the textbook loop.  A run whose
 loss is not finite leaves the stack at that iteration; the others go on.
 
 Runs with distinct seeds are independent, so `_train_map` spreads the
-drivers' runs, each under its own noise model, over this process and
-forked workers: each process trains its share in stacks, then finishes
-(certifies) it in order.  Results do not depend on the worker count.
+drivers' runs, each under its own noise model, over forked workers, one
+per available CPU: each worker trains its share in stacks, then finishes
+(certifies) it in order, while this process, which prepared the shared
+inputs before the fork, only joins them.  Results do not depend on the
+worker count.
 """
 
 from __future__ import annotations
 
 import functools
-import numbers
 import os
 from dataclasses import dataclass, replace
 
@@ -51,8 +52,8 @@ from .attack import pgd_perturb_batch
 from .errors import AttackDivergenceError, InvalidParameterError, TrainingDivergenceError
 from .estimators import LinearEstimator
 from .model import (
-    ForwardOperator, NoiseModel, SubspaceModel, _check_nonnegative, _check_positive, _check_triple,
-    _sub_seed, draw_sample_arrays, rng_stream,
+    ForwardOperator, NoiseModel, SubspaceModel, _check_integer, _check_nonnegative, _check_positive,
+    _check_triple, _sub_seed, draw_sample_arrays, rng_stream,
 )
 from .risk import RiskReport, _check_eval_samples, certify
 
@@ -61,7 +62,7 @@ _OPTIMIZERS = ("sgd", "adaptive")
 # The adaptive rule's first and second moment decay rates and denominator offset.
 _BETA1, _BETA2, _EPS_HAT = 0.9, 0.999, 1e-8
 
-# True while this process runs a _map_shares share; forked workers inherit it.
+# True inside a _map_shares call; forked workers inherit it.
 _mapping = False
 
 
@@ -82,21 +83,23 @@ def _fork_worker(prepare, finish, share: list, conn) -> None:
 
 
 def _map_shares(prepare, finish, order) -> list:
-    """Results for items 0, ..., N - 1, in shares run by this process and forked children.
+    """Results for items 0, ..., N - 1, one share of them per forked worker.
 
-    order lists the N item indices, dealt round-robin over P processes, so
-    items next to each other in order go to different processes.  P is one
+    order lists the N item indices, dealt round-robin over P shares, so
+    items next to each other in order go to different shares.  P is one
     per CPU this process may run on, capped at N; it is 1 on a platform
     with no CPU affinity or no fork start method, and when called from
-    inside a share.  This process runs order[P - 1::P], the smallest
-    share, since it also forks, joins and writes the output.  Each process
-    calls prepare(share) once, on its share's indices in ascending order,
-    for one value per item, then finish(i, value) per item in order, for
-    item i's result; an exception from prepare is charged to the share's
-    first item.  Only results and exceptions cross the pipes (pickled), so
+    inside a share.  At P = 1 this process runs the one share; otherwise
+    worker k runs order[k::P] and this process only forks and joins, so
+    its peak memory is what it held before the call.  Each process calls
+    prepare(share) once, on its share's indices in ascending order, for
+    one value per item, then finish(i, value) per item in order, for item
+    i's result; an exception from prepare is charged to the share's first
+    item.  Only results and exceptions cross the pipes (pickled), so
     prepare and finish may be closures over data the caller prepared
-    before the call.  The exception of the first failing item in item
-    order is raised, as the plain loop would raise it.
+    before the call, which the workers read copy-on-write.  The exception
+    of the first failing item in item order is raised, as the plain loop
+    would raise it.
     """
     global _mapping
     order = list(order)
@@ -118,13 +121,15 @@ def _map_shares(prepare, finish, order) -> list:
     done = []  # (values, exc) per share, in share order
     outer, _mapping = _mapping, True
     try:
-        for share in shares[:-1]:
-            recv, send = ctx.Pipe(duplex=False)
-            worker = ctx.Process(target=_fork_worker, args=(prepare, finish, share, send))
-            worker.start()
-            send.close()
-            workers.append((worker, recv))
-        own = _run_share(prepare, finish, shares[-1])
+        if procs == 1:
+            done.append(_run_share(prepare, finish, shares[0]))
+        else:
+            for share in shares:
+                recv, send = ctx.Pipe(duplex=False)
+                worker = ctx.Process(target=_fork_worker, args=(prepare, finish, share, send))
+                worker.start()
+                send.close()
+                workers.append((worker, recv))
         for worker, recv in workers:
             try:
                 done.append(recv.recv())
@@ -133,7 +138,6 @@ def _map_shares(prepare, finish, order) -> list:
                 raise ChildProcessError(
                     f"fork-map worker exited with code {worker.exitcode} before sending results"
                 ) from None
-        done.append(own)
     finally:
         _mapping = outer  # a nested call keeps the outer call's flag
         for worker, recv in workers:
@@ -176,10 +180,9 @@ class TrainConfig:
     record_every: int = 100
 
     def __post_init__(self) -> None:
-        for field in ("seed", "n_iterations", "batch_size", "attack_steps", "record_every"):
-            value = getattr(self, field)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise InvalidParameterError(f"{field} must be an int, got {value!r}")
+        _check_integer(seed=self.seed, n_iterations=self.n_iterations,
+                       batch_size=self.batch_size, attack_steps=self.attack_steps,
+                       record_every=self.record_every)
         if self.objective not in _OBJECTIVES:
             raise InvalidParameterError(f"objective must be one of {_OBJECTIVES}")
         if self.optimizer not in _OPTIMIZERS:
@@ -414,7 +417,7 @@ def _train_map(
     configs: list[TrainConfig],
     finish,
 ) -> list:
-    """[finish(i, run) for each config i], over this process and forked children.
+    """[finish(i, run) for each config i], over forked children (see _map_shares).
 
     run() returns the TrainTrace of train(model, op, noises[i], configs[i])
     or raises its exception, inside finish, which may annotate it.  The

@@ -24,6 +24,10 @@ _BAD_BUDGETS = [
     (float("nan"), 10, 2.5),
     (float("inf"), 10, 2.5),
     (0.1, 0, 2.5),
+    (0.1, 1.5, 2.5),
+    (0.1, 2.5, 2.5),
+    (0.1, 0.5, 2.5),
+    (0.1, True, 2.5),
     (0.1, 10, 0.0),
     (0.1, 10, -1.0),
     (0.1, 10, float("nan")),
@@ -35,8 +39,12 @@ def test_attack_config_validation():
     for eps, n_steps, step_scale in _BAD_BUDGETS:
         with pytest.raises(InvalidParameterError):
             AttackConfig(eps=eps, n_steps=n_steps, step_scale=step_scale)
-    with pytest.raises(InvalidParameterError):
-        AttackConfig(eps=0.1, n_steps=10, n_restarts=0)
+    for n_restarts in (0, 2.5, True):
+        with pytest.raises(InvalidParameterError, match="n_restarts"):
+            AttackConfig(eps=0.1, n_steps=10, n_restarts=n_restarts)
+    for n_steps in (1.5, True):
+        with pytest.raises(InvalidParameterError, match="n_steps must be an int"):
+            AttackConfig(eps=0.1, n_steps=n_steps)
 
 
 def test_attack_feasible_and_improves():

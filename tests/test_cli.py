@@ -299,6 +299,48 @@ def test_drivers_draw_the_evaluation_set_once(tmp_path, monkeypatch, command):
 @pytest.mark.parametrize(
     "cpus", [{0}, {0, 1}, {0, 1, 2}], ids=["one-cpu", "two-cpus", "three-cpus"]
 )
+@pytest.mark.parametrize("command", ["equivalence", "large-eps", "sweep", "gap"])
+def test_drivers_train_and_certify_only_in_workers(tmp_path, monkeypatch, command, cpus):
+    # On several CPUs this process prepares the shared inputs, forks one
+    # worker per CPU, joins them and writes the CSV: every training stack
+    # and every certification runs in a worker, each worker gets a share.
+    # On one CPU all of them run in this process.  Calls are logged to a
+    # file, as forked workers cannot append to this process's lists.
+    log = tmp_path / "calls.log"
+
+    def logged(name, real):
+        def call(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{name} {os.getpid()}\n")
+            return real(*args, **kwargs)
+        return call
+
+    stack = jitterlab.training._train_stack
+    monkeypatch.setattr(jitterlab.training, "_train_stack", logged("_train_stack", stack))
+    for module in (jitterlab.experiments, jitterlab.training):  # sweep certifies in training
+        monkeypatch.setattr(module, "certify", logged("certify", module.certify))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    out = tmp_path / "x.csv"
+    sizes = {"n": "12", "d": "4", "n_iterations": "2", "eval_samples": "20", "out": str(out)}
+    if command == "gap":
+        del sizes["n_iterations"]  # gap trains nothing
+    COMMAND_FUNCS[command](resolve_config(command, sizes))
+    assert out.is_file()
+    calls = [line.split() for line in log.read_text().splitlines()]
+    assert {name for name, _ in calls} == (
+        {"certify"} if command == "gap" else {"_train_stack", "certify"}
+    )
+    pids = {int(pid) for _, pid in calls}
+    if len(cpus) == 1:
+        assert pids == {os.getpid()}
+    else:
+        assert os.getpid() not in pids
+        assert len(pids) == len(cpus)
+
+
+@pytest.mark.parametrize(
+    "cpus", [{0}, {0, 1}, {0, 1, 2}], ids=["one-cpu", "two-cpus", "three-cpus"]
+)
 def test_gap_certifies_its_standard_estimator_once_per_share(tmp_path, monkeypatch, cpus):
     # Each process of gap's map certifies the standard estimator in one call
     # over its share of the eps grid: one call per share, each radius in

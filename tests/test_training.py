@@ -483,17 +483,16 @@ def test_fork_map_matches_plain_loop_in_order(monkeypatch):
         assert np.array_equal(a, b)
     pairs = _item_map(_pid_of, items)
     assert [item for item, _ in pairs] == items
-    # item k runs in process k mod 2: the parent takes the last, smaller share,
-    # the odd items
-    assert {pid for item, pid in pairs if item % 2 == 1} == {os.getpid()}
-    assert {pid for item, pid in pairs if item % 2 == 0} - {os.getpid()}
-    # three processes: shares {0, 3, 6}, {1, 4} and the parent's {2, 5}
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    pairs = _item_map(_pid_of, items)
-    assert [item for item, _ in pairs] == items
-    pids = [pid for _, pid in pairs]
-    assert [item for item, pid in pairs if pid == os.getpid()] == [2, 5]
-    assert pids[0] == pids[3] == pids[6] != pids[1] == pids[4] != os.getpid()
+    # item k runs in worker k mod P, and none in this process, which only
+    # forks and joins: two workers take the even and the odd items, three
+    # take {0, 3, 6}, {1, 4} and {2, 5}
+    for procs in (2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(procs)))
+        pairs = _item_map(_pid_of, items)
+        assert [item for item, _ in pairs] == items
+        pids = [{pid for item, pid in pairs if item % procs == k} for k in range(procs)]
+        assert [len(share) for share in pids] == [1] * procs
+        assert len(set.union(*pids) - {os.getpid()}) == procs
     assert multiprocessing.active_children() == []
 
 
@@ -511,10 +510,10 @@ def _diverge(item, failing):
 @pytest.mark.parametrize(
     ("cpus", "failing"),
     [({0, 1}, {2, 5}), ({0, 1}, {3, 4}), ({0, 1}, {6}), ({0}, {3, 4})],
-    ids=["worker-first", "parent-first", "worker-only", "one-cpu"],
+    ids=["worker-first", "odd-worker-first", "worker-only", "one-cpu"],
 )
 def test_fork_map_raises_first_failing_item(monkeypatch, cpus, failing):
-    # With two CPUs the worker takes the even items and the parent the odd ones.
+    # With two CPUs one worker takes the even items and the other the odd ones.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     first = min(failing)
     with pytest.raises(TrainingDivergenceError, match=f"item {first}$") as info:
@@ -536,17 +535,17 @@ def test_fork_map_raises_first_failing_item(monkeypatch, cpus, failing):
         ({0, 1, 2}, 5, {4}, "prepare 2"),
         ({0, 1, 2}, 3, {2, 4}, "prepare 0"),
     ],
-    ids=["one-cpu", "two-finish-first", "two-parent-prepare", "two-worker-prepare",
-         "three-finish-first", "three-parent-prepare", "three-worker-prepare"],
+    ids=["one-cpu", "two-finish-first", "two-odd-worker-prepare", "two-worker-prepare",
+         "three-finish-first", "three-last-worker-prepare", "three-worker-prepare"],
 )
 def test_map_shares_charges_a_failing_prepare_to_its_shares_first_item(
     monkeypatch, cpus, bad, failing, raised
 ):
     # The share holding item `bad` fails in prepare, which charges its first
-    # item; finish fails at the items in `failing`.  Shares: {0..7} on one
-    # CPU; worker {0, 2, 4, 6} and parent {1, 3, 5, 7} on two; workers
-    # {0, 3, 6}, {1, 4, 7} and parent {2, 5} on three.  The exception of the
-    # first failing item in item order is raised.
+    # item; finish fails at the items in `failing`.  Shares: {0..7} in this
+    # process on one CPU; workers {0, 2, 4, 6} and {1, 3, 5, 7} on two;
+    # workers {0, 3, 6}, {1, 4, 7} and {2, 5} on three.  The exception of
+    # the first failing item in item order is raised.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
 
     def prepare(share):
@@ -576,7 +575,7 @@ def test_fork_map_single_cpu_runs_in_process(monkeypatch, affinity):
 def test_fork_map_reports_a_dead_worker(monkeypatch):
     _two_cpus(monkeypatch)
 
-    def die_on_even(item):  # the worker's items: the parent runs the odd ones
+    def die_on_even(item):  # the first worker's items: the second runs the odd ones
         if item % 2 == 0:
             os._exit(3)
         return item
