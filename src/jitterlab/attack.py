@@ -12,11 +12,11 @@ One loop steps the columns of a block side by side, in buffers allocated
 once per call; leading axes stack independent blocks, each with its own
 radius.  pgd_perturb_batch runs one attack per minibatch column from
 e^0 = 0 and returns the final iterates, for one minibatch or a stack of
-them (the lockstep training loop).  pgd_attack runs its restarts as the
-columns (column 0 from zero, the others from random points at radius eps)
-and returns the best of every iterate of every restart: a lower bound on
-the exact dual value, with equality (to ~1e-4 relative) at
-evaluation-grade budgets.
+them; the lockstep training loop calls its unchecked core, _pgd_perturb.
+pgd_attack runs its restarts as the columns (column 0 from zero, the
+others from random points at radius eps) and returns the best of every
+iterate of every restart: a lower bound on the exact dual value, with
+equality (to ~1e-4 relative) at evaluation-grade budgets.
 """
 
 from __future__ import annotations
@@ -30,6 +30,9 @@ import numpy as np
 from .errors import AttackDivergenceError, InvalidParameterError
 from .estimators import LinearEstimator
 from .model import _check_integer, _check_nonnegative, _check_positive, rng_stream
+
+# What a non-finite _pgd_perturb result reads as, raised here or recorded by the training loop.
+_DIVERGED = "batch attack produced non-finite perturbations"
 
 
 def _check_budget(eps: float | np.ndarray, n_steps: int, step_scale: float) -> None:
@@ -149,6 +152,19 @@ def pgd_attack(
     return best_e[:, k], float(best_value[k])
 
 
+def _pgd_perturb(h: np.ndarray, x: np.ndarray, y: np.ndarray, eps: float | np.ndarray,
+                 n_steps: int, step_scale: float = 2.5) -> np.ndarray:
+    """pgd_perturb_batch unchecked: no budget check, and a non-finite result is returned."""
+    e = np.zeros_like(y)
+    if not np.any(eps):
+        return e
+    r0 = np.matmul(h, y)
+    r0 -= x
+    for _ in _pgd_iterates(h, r0, e, eps, n_steps, step_scale):
+        pass
+    return e
+
+
 def pgd_perturb_batch(
     h: np.ndarray,
     x: np.ndarray,
@@ -166,19 +182,11 @@ def pgd_perturb_batch(
     best-iterate tracking.  Leading axes of h (..., n, m), x and y stack
     independent runs; eps is then one radius or an array of per-run radii
     shaped to broadcast against (..., 1, 1), and each run's slice gets the
-    bits of its own call.  A non-finite result raises AttackDivergenceError
-    with the whole result attached as `.perturbation`.
+    bits of its own call.  It checks the budget, runs the core _pgd_perturb
+    and raises AttackDivergenceError at a non-finite result.
     """
     _check_budget(eps, n_steps, step_scale)
-    e = np.zeros_like(y)
-    if not np.any(eps):
-        return e
-    r0 = np.matmul(h, y)
-    r0 -= x
-    for _ in _pgd_iterates(h, r0, e, eps, n_steps, step_scale):
-        pass
+    e = _pgd_perturb(h, x, y, eps, n_steps, step_scale)
     if not np.all(np.isfinite(e)):
-        exc = AttackDivergenceError("batch attack produced non-finite perturbations")
-        exc.perturbation = e
-        raise exc
+        raise AttackDivergenceError(_DIVERGED)
     return e

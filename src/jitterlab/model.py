@@ -14,7 +14,8 @@ one row block; an evaluation set drawn in latent coordinates forms no X or Y.
 
 Every numeric parameter's range is one rule, _check_nonnegative (>= 0) or
 _check_positive (> 0) on numbers or arrays: NaN fails, and the error names it.
-A count is also checked by _check_integer: an int, not a bool or a float.
+A count, a dimension or a seed is also checked by _check_integer: an int,
+not a bool or a float.
 """
 
 from __future__ import annotations
@@ -47,11 +48,15 @@ def rng_stream(seed: int, *path: int) -> np.random.Generator:
     (seed, path) always yields the same stream (Philox4x64-10 keyed through
     a SeedSequence spawn key).
     """
+    _check_integer(seed=seed)
+    _check_nonnegative(seed=seed)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=path)))
 
 
 def _sub_seed(master: int, *path: int) -> int:
     """Integer seed for one (master, path) coordinate, as a SeedSequence spawn key."""
+    _check_integer(seed=master)
+    _check_nonnegative(seed=master)
     return int(np.random.SeedSequence(master, spawn_key=path).generate_state(1)[0])
 
 
@@ -123,6 +128,7 @@ class NoiseModel:
     sigma_z: float
 
     def __post_init__(self) -> None:
+        _check_integer(m=self.m)
         if not self.m >= 1:
             raise InvalidDimensionError(f"m must be >= 1, got {self.m}")
         _check_nonnegative(sigma_z=self.sigma_z)
@@ -193,6 +199,7 @@ def make_subspace(n: int, d: int, sigma_c: float, seed: int) -> SubspaceModel:
     QR-orthonormalizes a seeded n x d standard-Gaussian matrix; the sign of
     each column is fixed so the result is unique, hence bit-reproducible.
     """
+    _check_integer(n=n, d=d)
     if d == 0 or d > n:
         raise InvalidDimensionError(f"need 1 <= d <= n, got n={n}, d={d}")
     g = rng_stream(seed, 0).standard_normal((n, d))
@@ -208,6 +215,7 @@ def make_diagonal_operator(n: int, spectrum: str, ratio: float | None = None) ->
     descending along the coordinates), or "geometric" (values ratio^i for
     i = 1..n, descending along the coordinates; requires 0 < ratio <= 1).
     """
+    _check_integer(n=n)
     if not n >= 1:
         raise InvalidDimensionError(f"n must be >= 1, got {n}")
     if spectrum == "identity":
@@ -248,6 +256,7 @@ def _latent_blocks(model: SubspaceModel, noise: NoiseModel, count: int, seed: in
 
     Chunk j's rng_stream(seed, j) gives C's rows, then Z's: exhaust C's blocks first.
     """
+    _check_integer(count=count)
     _check_nonnegative(count=count)
     streams = [rng_stream(seed, start // _CHUNK) for start in range(0, count, _CHUNK)]
 

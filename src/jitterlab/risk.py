@@ -50,8 +50,8 @@ from .errors import (
 )
 from .estimators import LinearEstimator, _increasing_root, _jittering_shrinkage
 from .model import (
-    ForwardOperator, NoiseModel, SubspaceModel, _check_nonnegative, _check_triple, _column_blocks,
-    draw_sample_arrays,
+    ForwardOperator, NoiseModel, SubspaceModel, _check_integer, _check_nonnegative, _check_triple,
+    _column_blocks, draw_sample_arrays,
 )
 
 # 66% two-sided normal quantile: CI = mean +- 0.954 * SE.
@@ -247,6 +247,7 @@ def residuals(
 
 def _check_eval_samples(eval_samples: int) -> None:
     """certify needs two samples; it checks its set, callers check before drawing or training."""
+    _check_integer(eval_samples=eval_samples)
     if not eval_samples >= 2:
         raise InvalidParameterError(f"need eval_samples >= 2, got {eval_samples}")
 

@@ -30,7 +30,8 @@ standard stack, as does an adversarial run at eps = 0, and a run whose
 noise scale is 0 draws no noise.  The loop works in place on buffers
 allocated once per stack and applies a diagonal operator as a row
 scaling; all of this gives the bits of the textbook loop.  A run whose
-loss is not finite leaves the stack at that iteration; the others go on.
+attack result or loss is not finite stops at that iteration, its outcome
+recorded; its slice stays in the stack, masked, and the others go on.
 
 Runs with distinct seeds are independent, so `_train_map` spreads the
 drivers' runs, each under its own noise model, over forked workers, one
@@ -48,7 +49,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .attack import pgd_perturb_batch
+from .attack import _DIVERGED, _pgd_perturb
 from .errors import AttackDivergenceError, InvalidParameterError, TrainingDivergenceError
 from .estimators import LinearEstimator
 from .model import (
@@ -218,6 +219,7 @@ def _stack_key(config: TrainConfig) -> TrainConfig:
     return replace(config, objective=objective, seed=0, eps=0.0, sigma_w=0.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a stopped slice's inf and NaN stay quiet
 def _train_stack(
     model: SubspaceModel,
     op: ForwardOperator,
@@ -228,8 +230,11 @@ def _train_stack(
 
     An outcome is the run's TrainTrace, or the exception that stopped it:
     AttackDivergenceError if its own attack fails, else TrainingDivergenceError
-    at a non-finite loss.  A stopped run's slices leave the stack and the
-    others go on, so each run's outcome is that of its own loop.
+    at a non-finite loss, recorded at that iteration.  A stopped run's
+    slices stay in the stack, masked: their inf and NaN arithmetic goes on
+    quietly and feeds no other slice, and the loop ends once every run has
+    an outcome, so each run's outcome is that of its own loop.  The attack
+    core runs unchecked: TrainConfig has checked eps and attack_steps.
     """
     _check_triple(model, op, noise)
     config = _stack_key(configs[0])
@@ -261,7 +266,6 @@ def _train_stack(
     h, *moments = np.zeros((2 if sgd else 3, k, n, m))
     grad, step = np.empty_like(h), np.empty_like(h)
 
-    live = list(range(k))  # the config index of each slice
     outcomes: list[TrainTrace | Exception | None] = [None] * k
     ema = None
     its: list[int] = []
@@ -278,46 +282,33 @@ def _train_stack(
             y += z
 
         if adversarial:
-            try:
-                yt = pgd_perturb_batch(h, x, y, eps, steps)
-            except AttackDivergenceError as exc:
-                # Each slice is its own call's result; a non-finite one stops its run below.
-                yt = exc.perturbation
-                for p in np.flatnonzero(~np.isfinite(yt).all(axis=(1, 2))):
-                    outcomes[live[p]] = AttackDivergenceError(*exc.args)
+            yt = _pgd_perturb(h, x, y, eps, steps)
+            for p in np.flatnonzero(~np.isfinite(yt).all(axis=(1, 2))):
+                outcomes[p] = outcomes[p] or AttackDivergenceError(_DIVERGED)
             yt += y
         else:
             yt = y
 
         np.matmul(h, yt, out=resid)
         resid -= x
-        with np.errstate(over="ignore"):  # overflow IS the divergence signal
-            np.multiply(resid, resid, out=sq)
-            loss = sq.reshape(len(live), -1).sum(axis=1) / batch
-        finite = np.isfinite(loss)
-        if not finite.all():
-            for p in np.flatnonzero(~finite):
-                if outcomes[live[p]] is None:
-                    exc = TrainingDivergenceError(f"non-finite loss at iteration {t}")
-                    exc.trace = TrainTrace(
-                        iterations=np.array(its), losses=np.array(losses[live[p]]),
-                        estimator=LinearEstimator.from_matrix(np.nan_to_num(h[p])),
-                    )
-                    outcomes[live[p]] = exc
-            keep = np.flatnonzero(finite)
-            live, streams = [live[p] for p in keep], [streams[p] for p in keep]
-            if not live:
-                break
-            h, eps, z_scale, c, z, x, y, yt, resid, sq, loss, ema, *moments = (
-                None if a is None else a[keep]
-                for a in (h, eps, z_scale, c, z, x, y, yt, resid, sq, loss, ema, *moments)
-            )
-            grad, step = np.empty_like(h), np.empty_like(h)
+        np.multiply(resid, resid, out=sq)
+        loss = sq.reshape(k, -1).sum(axis=1) / batch
+        for p in np.flatnonzero(~np.isfinite(loss)):
+            if outcomes[p] is None:
+                exc = TrainingDivergenceError(f"non-finite loss at iteration {t}")
+                exc.trace = TrainTrace(
+                    iterations=np.array(its), losses=np.array(losses[p]),
+                    estimator=LinearEstimator.from_matrix(np.nan_to_num(h[p])),
+                )
+                outcomes[p] = exc
+        if all(outcomes):
+            break
         ema = loss if ema is None else 0.99 * ema + 0.01 * loss
         if t % config.record_every == 0 or t == config.n_iterations - 1:
             its.append(t)
-            for i, value in zip(live, ema.tolist()):
-                losses[i].append(value)
+            for run, curve, value in zip(outcomes, losses, ema.tolist()):
+                if run is None:
+                    curve.append(value)
 
         np.matmul(resid, np.swapaxes(yt, -1, -2), out=grad)
         grad *= 2.0 / batch
@@ -345,12 +336,11 @@ def _train_stack(
             step /= denom
             h -= step
 
-    for p, i in enumerate(live):
-        outcomes[i] = TrainTrace(
-            iterations=np.array(its), losses=np.array(losses[i]),
-            estimator=LinearEstimator.from_matrix(h[p]),
-        )
-    return outcomes
+    return [
+        run or TrainTrace(iterations=np.array(its), losses=np.array(curve),
+                          estimator=LinearEstimator.from_matrix(matrix))
+        for run, curve, matrix in zip(outcomes, losses, h)
+    ]
 
 
 def _outcome(run: TrainTrace | Exception) -> TrainTrace:

@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 
 import jitterlab
+from jitterlab.attack import AttackConfig, pgd_attack
 from jitterlab.errors import InvalidDimensionError, InvalidParameterError
 from jitterlab.estimators import LinearEstimator, ShrinkageProfile, mmse_estimator
 from jitterlab.model import (
-    ForwardOperator, NoiseModel, SubspaceModel, draw_sample_arrays, make_diagonal_operator,
-    make_subspace,
+    ForwardOperator, NoiseModel, SubspaceModel, _sub_seed, draw_latents, draw_sample_arrays,
+    make_diagonal_operator, make_subspace, rng_stream,
 )
 from jitterlab.risk import (
-    RiskReport, dual_values_batch, jittering_risk_closed_form, robust_risk_mode_form,
+    RiskReport, dual_values_batch, jittering_risk_closed_form, robust_risk_exact,
+    robust_risk_mode_form,
 )
 from jitterlab.training import TrainConfig, _train_stack, sweep_jitter_levels
 
@@ -156,7 +158,49 @@ def _with_setup(call):
     pytest.param(lambda: dual_values_batch(LinearEstimator.from_matrix(np.zeros((3, 3))),
                                            np.ones((3, 2)), np.nan),
                  InvalidParameterError, id="dual-zero-estimator-nan-eps"),
+    pytest.param(lambda: NoiseModel(m=1.5, sigma_z=0.5), InvalidParameterError,
+                 id="noise-model-m-float"),
+    pytest.param(lambda: NoiseModel(m=True, sigma_z=0.5), InvalidParameterError,
+                 id="noise-model-m-bool"),
+    pytest.param(lambda: NoiseModel(m=12.0, sigma_z=0.5), InvalidParameterError,
+                 id="noise-model-m-whole-float"),
+    pytest.param(lambda: make_subspace(12.0, 4, 1.0, 0), InvalidParameterError,
+                 id="make-subspace-n-float"),
+    pytest.param(lambda: make_subspace(12, 4.0, 1.0, 0), InvalidParameterError,
+                 id="make-subspace-d-float"),
+    pytest.param(lambda: make_diagonal_operator(6.0, "identity"), InvalidParameterError,
+                 id="diagonal-operator-n-float"),
+    pytest.param(_with_setup(lambda model, op, noise: draw_latents(model, noise, 5.5, 0)),
+                 InvalidParameterError, id="draw-latents-count-float"),
+    pytest.param(_with_setup(lambda model, op, noise: robust_risk_exact(
+        mmse_estimator(model, op, noise), model, op, noise, 0.1, n_samples=100.0, seed=0)),
+                 InvalidParameterError, id="robust-risk-exact-n-samples-float"),
+    pytest.param(_with_setup(lambda *setup: sweep_jitter_levels(*setup, [0.1], [0.1], 50.5, 0)),
+                 InvalidParameterError, id="sweep-eval-samples-float"),
 ])
 def test_guard_raises_its_error(call, error):
     with pytest.raises(error):
         call()
+
+
+def _seeded_calls():
+    model, op, noise = _setup()
+    x, y = draw_sample_arrays(model, op, noise, 4, seed=1)[:2]
+    estimator = mmse_estimator(model, op, noise)
+    return {
+        "rng-stream": lambda seed: rng_stream(seed, 0),
+        "sub-seed": lambda seed: _sub_seed(seed, 0),
+        "draw-sample-arrays": lambda seed: draw_sample_arrays(model, op, noise, 4, seed),
+        "make-subspace": lambda seed: make_subspace(6, 3, 1.0, seed),
+        "pgd-attack": lambda seed: pgd_attack(estimator, x[:, 0], y[:, 0],
+                                              AttackConfig(eps=0.1, n_steps=2), seed),
+    }
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True], ids=["negative", "float", "bool"])
+@pytest.mark.parametrize("name", sorted(_seeded_calls()))
+def test_seed_is_a_nonnegative_int(name, seed):
+    # One gate in rng_stream and _sub_seed: numpy's own ValueError or
+    # TypeError never surfaces.
+    with pytest.raises(InvalidParameterError, match="seed"):
+        _seeded_calls()[name](seed)

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import jitterlab.attack
 import jitterlab.training
 from jitterlab.attack import pgd_perturb_batch
 from jitterlab.errors import (
@@ -365,14 +366,14 @@ def test_diverging_stack_member_stops_alone(objective):
     # same exception with the same partial trace.
     model, op, noise = _setup()
     configs = _diverging(objective)
-    with np.errstate(all="ignore"):  # the diverging runs overflow on purpose
-        runs = _train_stack(model, op, noise, configs)
-        alone = []
-        for config in configs:
-            try:
-                alone.append(train(model, op, noise, config))
-            except (TrainingDivergenceError, AttackDivergenceError) as exc:
-                alone.append(exc)
+    # No errstate here: a stopped run's overflow must stay quiet on its own.
+    runs = _train_stack(model, op, noise, configs)
+    alone = []
+    for config in configs:
+        try:
+            alone.append(train(model, op, noise, config))
+        except (TrainingDivergenceError, AttackDivergenceError) as exc:
+            alone.append(exc)
     kinds = [type(run) for run in alone]
     assert TrainingDivergenceError in kinds
     assert (AttackDivergenceError if objective == "adversarial" else TrainTrace) in kinds
@@ -403,8 +404,7 @@ def test_diverging_stack_member_trains_no_run_twice(monkeypatch):
         return stack(*args)
 
     monkeypatch.setattr(jitterlab.training, "_train_stack", counted)
-    with np.errstate(all="ignore"):  # the diverging run overflows on purpose
-        runs = jitterlab.training._train_stack(model, op, noise, configs)
+    runs = jitterlab.training._train_stack(model, op, noise, configs)
     assert len(calls) == 1
     assert [type(run) for run in runs] == [TrainTrace, TrainingDivergenceError, TrainTrace]
     for config, run in zip(configs, runs):
@@ -412,6 +412,24 @@ def test_diverging_stack_member_trains_no_run_twice(monkeypatch):
             alone = train(model, op, noise, config)
             assert np.array_equal(run.losses, alone.losses)
             assert np.array_equal(run.estimator.matrix, alone.estimator.matrix)
+
+
+def test_train_stack_checks_no_attack_budget(monkeypatch):
+    # TrainConfig checks eps and attack_steps once; the loop's attacks do not
+    # check them again.
+    model, op, noise = _setup()
+    calls = []
+    check = jitterlab.attack._check_budget
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(jitterlab.attack, "_check_budget", counted)
+    config = TrainConfig(objective="adversarial", eps=0.3, n_iterations=50, batch_size=8)
+    (run,) = _train_stack(model, op, noise, [config])
+    assert isinstance(run, TrainTrace)
+    assert calls == []
 
 
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
