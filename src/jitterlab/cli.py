@@ -56,7 +56,9 @@ def main(argv: list[str] | None = None) -> int:
         COMMAND_FUNCS[args.command](cfg)
         return 0
     except JitterlabError as exc:
-        line = {"error": type(exc).__name__, "detail": str(exc)}
+        # One readable detail: a failing training run's exception carries
+        # the run's name as a second arg (see training._train_map).
+        line = {"error": type(exc).__name__, "detail": "; ".join(map(str, exc.args))}
         print(json.dumps(line), file=sys.stderr)
         return 1
     except OSError as exc:

@@ -10,14 +10,13 @@ inputs in this process, forks one worker per available CPU (none on one
 CPU), maps its items over them (`training._map_shares`), joins them and
 writes the CSV, which is the same for any worker count.  Each worker
 prepares its share once and finishes its items in order.  The training
-drivers (equivalence, large-eps, sweep) prepare a share by training its
-runs in lockstep stacks (`training._train_map`) and finish a run by
-certifying it.  equivalence and sweep draw their evaluation set before the
-map; large-eps maps all its noise levels' runs at once, and each process
-draws a level's set when it first certifies a run of that level.  gap
-draws its set straight into latent coordinates (no n x N or m x N array);
-a share certifies the standard estimator once over its radii, then each
-eps its other two.
+drivers (equivalence, large-eps, sweep) only list their runs, each with
+its radii and its evaluation-set seed, for `training._train_map`, which
+trains a share in lockstep stacks and certifies each run; a process draws
+a set when it first certifies a run of that set, so on several CPUs this
+process draws none.  gap draws its set in this process, straight into
+latent coordinates (no n x N or m x N array); a share certifies the
+standard estimator once over its radii, then each eps its other two.
 
 Risk columns in figure-style CSVs are per-coordinate (total risk divided
 by n); the sweep matrix keeps raw totals since only argmin locations
@@ -51,7 +50,6 @@ from .model import (
     _check_positive,
     _draw_latent_set,
     _sub_seed,
-    draw_sample_arrays,
     make_diagonal_operator,
     make_subspace,
 )
@@ -221,7 +219,8 @@ def resolve_config(command: str, raw_items: dict[str, str]) -> dict:
             raise ConfigError(f"bad value for {key!r}: {text!r} ({exc})") from exc
         if cfg[key] == () and key != "sigma_w_grid":  # an empty sigma_w_grid means auto
             raise ConfigError(f"{key!r} needs at least one value")
-    for key in _UNREAD_KEYS[command]:
+    unread = _UNREAD_KEYS[command] + (() if cfg["operator"] == "geometric" else ("ratio",))
+    for key in unread:  # ratio shapes the geometric spectrum alone
         if cfg[key] != defaults[key]:
             raise ConfigError(f"{command!r} does not read {key!r}: leave it at {defaults[key]!r}")
     if "n" in raw_items and "m" not in raw_items:
@@ -318,11 +317,11 @@ def cmd_equivalence(cfg: dict) -> str:
 
     One standard model serves every eps; adversarial and jittering models
     are trained per eps (the jitter level is the closed-form sigma_w(eps)).
-    One evaluation set is drawn before any training and every estimator is
-    certified on it, and the closed-form optimal risk is emitted as a
-    fourth method.  The 2k + 1 runs train and certify in parallel, one
-    forked worker per available CPU, each training its share in lockstep
-    stacks.  Risk columns are per-coordinate.
+    Every estimator is certified on one evaluation set, and the
+    closed-form optimal risk is emitted as a fourth method.  The 2k + 1
+    runs train and certify in parallel (`_train_map`), one forked worker
+    per available CPU, each drawing the set itself and training its share
+    in lockstep stacks.  Risk columns are per-coordinate.
     """
     if cfg["operator"] != "identity":
         raise ConfigError("equivalence runs the denoising setup: operator=identity")
@@ -330,23 +329,21 @@ def cmd_equivalence(cfg: dict) -> str:
     n = model.n
     sigma_c, sigma_z, d = model.sigma_c, noise.sigma_z, model.d
     eps_grid = [float(eps) for eps in cfg["eps_grid"]]
+    seed = cfg["seed"]
 
     # Standard first, then every adversarial run, then every jittering run.
-    jobs = [(_train_config(cfg, "standard", _sub_seed(cfg["seed"], 1)), eps_grid)]
+    jobs = [(_train_config(cfg, "standard", _sub_seed(seed, 1)), eps_grid)]
     jobs += [
-        (_train_config(cfg, "adversarial", _sub_seed(cfg["seed"], 2 + 2 * j), eps=eps), eps)
+        (_train_config(cfg, "adversarial", _sub_seed(seed, 2 + 2 * j), eps=eps), eps)
         for j, eps in enumerate(eps_grid)
     ]
     jobs += [
-        (_train_config(cfg, "jittering", _sub_seed(cfg["seed"], 3 + 2 * j),
+        (_train_config(cfg, "jittering", _sub_seed(seed, 3 + 2 * j),
                        sigma_w=jitter_level_for_eps(sigma_c, sigma_z, d, n, eps)), eps)
         for j, eps in enumerate(eps_grid)
     ]
-    x, y = draw_sample_arrays(model, op, noise, cfg["eval_samples"], _sub_seed(cfg["seed"], 0))[:2]
-    reports = _train_map(
-        model, op, [noise] * len(jobs), [config for config, _ in jobs],
-        lambda i, run: certify(run().estimator, x, y, jobs[i][1]),
-    )
+    runs = [(noise, config, radii, _sub_seed(seed, 0)) for config, radii in jobs]
+    reports = [report for report, _ in _train_map(model, op, runs, cfg["eval_samples"])]
     std, adv, jit = reports[0], reports[1:len(eps_grid) + 1], reports[len(eps_grid) + 1:]
     rows = []
     for j, eps in enumerate(eps_grid):
@@ -424,47 +421,34 @@ def cmd_large_eps(cfg: dict) -> str:
 
     noise_levels are sigma_z/sqrt(n) values.  The model and operator are
     built once; every (level, eps) run trains under its level's noise
-    model, all of them in one map over one forked worker per available CPU,
-    so each worker gets a like share of every level.  Each level has one
-    evaluation set, which a process draws when it first certifies a run of
-    that level, dropping the set of the level before: processes finish
-    their runs in item order, level by level, so each holds one set at a
-    time and draws each at most once.  Emits per-coordinate risk and the
-    trained Frobenius norm; past the transition the estimator collapses
-    toward zero and the risk plateaus at sigma_c^2/n per coordinate.
+    model, all of them in one `_train_map` over one forked worker per
+    available CPU, so each worker gets a like share of every level.  Each
+    level has one evaluation set, and the runs are listed level by level,
+    so each process holds one set at a time and draws each at most once.
+    Emits per-coordinate risk and the trained Frobenius norm; past the
+    transition the estimator collapses toward zero and the risk plateaus
+    at sigma_c^2/n per coordinate.
     """
     if cfg["operator"] != "identity":
         raise ConfigError("large-eps runs the denoising setup: operator=identity")
     sigma_c = cfg["sigma_c"]
     _check_positive(sigma_c=sigma_c)  # eps = sqrt(eps_sq_rel) * sigma_c would all be 0
     model, op, _ = _build_setup(cfg)  # each level sets its own sigma_z
-    levels = cfg["noise_levels"]
-    noises = [NoiseModel(m=cfg["m"], sigma_z=float(level * np.sqrt(cfg["n"]))) for level in levels]
-    jobs = []  # (level index, eps_sq_rel, eps, config), level by level
-    for li in range(len(levels)):
+    labels, runs = [], []  # (level, eps, eps_sq_rel) and its run, level by level
+    for li, level in enumerate(cfg["noise_levels"]):
+        noise = NoiseModel(m=cfg["m"], sigma_z=float(level * np.sqrt(cfg["n"])))
         for j, rel in enumerate(cfg["eps_sq_rel_grid"]):
             eps = float(np.sqrt(rel) * sigma_c)
-            seed = _sub_seed(cfg["seed"], 200 + 10 * li + j)
-            jobs.append((li, rel, eps, _train_config(cfg, "adversarial", seed, eps=eps)))
-    held: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # this process's one evaluation set
-
-    def certify_run(i: int, run) -> tuple[RiskReport, float]:
-        li, _, eps, _ = jobs[i]
-        est = run().estimator
-        if li not in held:
-            held.clear()  # free the last level's set before this level draws
-            held[li] = draw_sample_arrays(
-                model, op, noises[li], cfg["eval_samples"], _sub_seed(cfg["seed"], 100 + li)
-            )[:2]
-        return certify(est, *held[li], eps), est.frobenius_norm()
-
-    results = _train_map(
-        model, op, [noises[li] for li, *_ in jobs], [config for *_, config in jobs], certify_run
-    )
+            config = _train_config(cfg, "adversarial", _sub_seed(cfg["seed"], 200 + 10 * li + j),
+                                   eps=eps)
+            labels.append((level, eps, rel))
+            runs.append((noise, config, eps, _sub_seed(cfg["seed"], 100 + li)))
     rows = []
-    for (li, rel, eps, _), (report, h_frob) in zip(jobs, results):
+    for (level, eps, rel), (report, h_frob) in zip(
+        labels, _train_map(model, op, runs, cfg["eval_samples"])
+    ):
         cells = _risk_cells(report, 0, model.n)
-        rows.append(f"{_g(levels[li])},{_g(eps)},{_g(rel)},{cells},{_g(h_frob)}\n")
+        rows.append(f"{_g(level)},{_g(eps)},{_g(rel)},{cells},{_g(h_frob)}\n")
     columns = "noise_level,eps,eps_sq_rel,risk,ci_low,ci_high,h_frob"
     return _emit("large-eps", cfg, columns, rows, cfg["out"])
 

@@ -60,17 +60,22 @@ def _sub_seed(master: int, *path: int) -> int:
     return int(np.random.SeedSequence(master, spawn_key=path).generate_state(1)[0])
 
 
+# Real scalars compare directly: the closed forms check theirs on every
+# call, and wrapping each in an array would cost most of a small call.
+_SCALARS = (int, float, np.integer, np.floating)
+
+
 def _check_nonnegative(**values) -> None:
     """The one range rule: each named number or array is >= 0 throughout; NaN fails it."""
     for name, value in values.items():
-        if not (np.asarray(value) >= 0.0).all():
+        if not (value >= 0.0 if isinstance(value, _SCALARS) else (np.asarray(value) >= 0.0).all()):
             raise InvalidParameterError(f"{name} must be >= 0, got {value}")
 
 
 def _check_positive(**values) -> None:
     """_check_nonnegative's strict twin: each named number or array is > 0 throughout."""
     for name, value in values.items():
-        if not (np.asarray(value) > 0.0).all():
+        if not (value > 0.0 if isinstance(value, _SCALARS) else (np.asarray(value) > 0.0).all()):
             raise InvalidParameterError(f"{name} must be > 0, got {value}")
 
 
@@ -200,7 +205,7 @@ def make_subspace(n: int, d: int, sigma_c: float, seed: int) -> SubspaceModel:
     each column is fixed so the result is unique, hence bit-reproducible.
     """
     _check_integer(n=n, d=d)
-    if d == 0 or d > n:
+    if not 1 <= d <= n:
         raise InvalidDimensionError(f"need 1 <= d <= n, got n={n}, d={d}")
     g = rng_stream(seed, 0).standard_normal((n, d))
     q, r = np.linalg.qr(g)

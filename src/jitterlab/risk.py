@@ -50,8 +50,8 @@ from .errors import (
 )
 from .estimators import LinearEstimator, _increasing_root, _jittering_shrinkage
 from .model import (
-    ForwardOperator, NoiseModel, SubspaceModel, _check_integer, _check_nonnegative, _check_triple,
-    _column_blocks, draw_sample_arrays,
+    ForwardOperator, NoiseModel, SubspaceModel, _check_integer, _check_nonnegative, _check_positive,
+    _check_triple, _column_blocks, draw_sample_arrays,
 )
 
 # 66% two-sided normal quantile: CI = mean +- 0.954 * SE.
@@ -306,6 +306,8 @@ def standard_risk_closed_form(
     alpha: float, sigma_c: float, sigma_z: float, d: int, n: int
 ) -> float:
     """Exact unperturbed risk of the denoiser H = alpha U U'."""
+    _check_integer(d=d, n=n)
+    _check_positive(d=d, n=n)
     _check_nonnegative(sigma_c=sigma_c, sigma_z=sigma_z)
     return float(sigma_c**2 * (alpha - 1.0) ** 2 + alpha**2 * sigma_z**2 * d / n)
 
@@ -383,6 +385,8 @@ def robust_risk_mode_form(
     the two agree only as d -> infinity, and at small d the gap is a few
     percent.  Returns (bound, lam_star).
     """
+    _check_integer(d=d, m=m)
+    _check_positive(d=d, m=m)
     sigma_i = np.atleast_1d(np.asarray(sigma_i, dtype=float))
     lambda_i = np.atleast_1d(np.asarray(lambda_i, dtype=float))
     if sigma_i.shape != lambda_i.shape:

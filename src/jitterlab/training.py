@@ -33,17 +33,16 @@ scaling; all of this gives the bits of the textbook loop.  A run whose
 attack result or loss is not finite stops at that iteration, its outcome
 recorded; its slice stays in the stack, masked, and the others go on.
 
-Runs with distinct seeds are independent, so `_train_map` spreads the
-drivers' runs, each under its own noise model, over forked workers, one
-per available CPU: each worker trains its share in stacks, then finishes
-(certifies) it in order, while this process, which prepared the shared
-inputs before the fork, only joins them.  Results do not depend on the
-worker count.
+Runs with distinct seeds are independent, so `_train_map`, the one path
+from the drivers' runs to their certified risks, spreads them, each under
+its own noise model, over forked workers, one per available CPU: each
+worker trains its share in stacks, then certifies it in order on the
+evaluation sets it draws itself, one held at a time, while this process
+only forks and joins them.  Results do not depend on the worker count.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 from dataclasses import dataclass, replace
 
@@ -403,27 +402,48 @@ def _train_runs(
 def _train_map(
     model: SubspaceModel,
     op: ForwardOperator,
-    noises: list[NoiseModel],
-    configs: list[TrainConfig],
-    finish,
-) -> list:
-    """[finish(i, run) for each config i], over forked children (see _map_shares).
+    runs: list[tuple[NoiseModel, TrainConfig, object, int]],
+    eval_samples: int,
+) -> list[tuple[RiskReport, float]]:
+    """(certify report, ||H||_F) per run (noise, config, radii, set_seed), over forked children.
 
-    run() returns the TrainTrace of train(model, op, noises[i], configs[i])
-    or raises its exception, inside finish, which may annotate it.  The
-    runs of each (noise model, stack key) are dealt round-robin over the
-    processes, the deal going on from one key to the next, so every
-    process gets a like share of each kind of run.  Each process trains its
-    share with _train_runs, _map_shares' prepare, then finishes it in item
-    order; the first failing item in item order raises (see _map_shares).
+    Run i trains as train(model, op, noise, config) would, in _train_runs'
+    stacks (_map_shares' prepare), and is certified at radii on
+    draw_sample_arrays(model, op, noise, eval_samples, set_seed).  The runs
+    of each (noise model, stack key) are dealt round-robin over the
+    processes (see _map_shares), the deal going on from one key to the
+    next, so every process gets a like share of each kind of run.  A
+    process certifies its share in item order and draws a set when it
+    first certifies a run of that set, dropping the one it held: listed
+    set by set, the runs let each process hold one set and draw each once.
+    An exception from training or certifying run i gets one more arg
+    naming the run; the first failing item in item order raises.
     """
-    keys = [(noise, _stack_key(config)) for noise, config in zip(noises, configs, strict=True)]
+    _check_eval_samples(eval_samples)
+    keys = [(noise, _stack_key(config)) for noise, config, _, _ in runs]
+    held = {}  # this process's one evaluation set, by (noise model, set seed)
+
+    def certify_run(i: int, outcome: TrainTrace | Exception) -> tuple[RiskReport, float]:
+        noise, config, radii, set_seed = runs[i]
+        try:
+            estimator = _outcome(outcome).estimator
+            if (noise, set_seed) not in held:
+                held.clear()  # free the last set before this one is drawn
+                held[noise, set_seed] = draw_sample_arrays(
+                    model, op, noise, eval_samples, set_seed
+                )[:2]
+            return certify(estimator, *held[noise, set_seed], radii), estimator.frobenius_norm()
+        except Exception as exc:  # keeps its type; the map raises it
+            exc.args += (f"run {i}: {config.objective} seed={config.seed} eps={config.eps} "
+                         f"sigma_w={config.sigma_w}",)
+            raise
+
     return _map_shares(
         lambda share: _train_runs(
-            model, op, [noises[i] for i in share], [configs[i] for i in share]
+            model, op, [runs[i][0] for i in share], [runs[i][1] for i in share]
         ),
-        lambda i, run: finish(i, functools.partial(_outcome, run)),
-        sorted(range(len(configs)), key=lambda i: keys.index(keys[i])),
+        certify_run,
+        sorted(range(len(runs)), key=lambda i: keys.index(keys[i])),
     )
 
 
@@ -452,39 +472,27 @@ def sweep_jitter_levels(
 ) -> SweepResult:
     """Train one jittering estimator per sigma_w; evaluate on every eps.
 
-    The evaluation set is drawn once, before any training, and every grid
-    cell is certified on it (paired comparison), so the per-eps argmin
-    over sigma_w is driven by estimator differences, not by independent
-    Monte-Carlo noise.  Training seeds derive from `seed` per grid point;
-    `base_config` carries every non-objective knob.  The grid points
-    train and certify in parallel, one forked worker per available CPU
-    training its share in lockstep stacks (`_train_map`); the result does
-    not depend on the worker count.  eval_samples < 2, an empty grid and a
-    negative or NaN grid value are rejected before any draw or training.
+    Every grid cell is certified on one evaluation set (paired comparison),
+    so the per-eps argmin over sigma_w is driven by estimator differences,
+    not by independent Monte-Carlo noise.  Training seeds derive from
+    `seed` per grid point; `base_config` carries every non-objective knob.
+    The grid points train and certify through `_train_map`, in parallel
+    over one forked worker per available CPU; the result does not depend on
+    the worker count.  eval_samples < 2, an empty grid and a negative or
+    NaN grid value are rejected before any draw or training.
     """
     eps_grid = np.atleast_1d(np.asarray(eps_grid, dtype=float))
     sigma_w_grid = np.atleast_1d(np.asarray(sigma_w_grid, dtype=float))
     if eps_grid.size == 0 or sigma_w_grid.size == 0:
         raise InvalidParameterError("grids must be non-empty")
     _check_nonnegative(eps_grid=eps_grid, sigma_w_grid=sigma_w_grid)
-    _check_eval_samples(eval_samples)
     base = base_config if base_config is not None else TrainConfig()
-    configs = [
-        replace(base, objective="jittering", sigma_w=float(sw), seed=_sub_seed(seed, i))
+    runs = [
+        (noise, replace(base, objective="jittering", sigma_w=float(sw), seed=_sub_seed(seed, i)),
+         eps_grid, _sub_seed(seed, 10**6))
         for i, sw in enumerate(sigma_w_grid)
     ]
-    x, y = draw_sample_arrays(model, op, noise, eval_samples, _sub_seed(seed, 10**6))[:2]
-
-    def certify_row(i: int, run) -> RiskReport:
-        try:
-            return certify(run().estimator, x, y, eps_grid)
-        except Exception as exc:
-            # Annotate with the grid coordinate, keeping the exception type.
-            detail = f"sweep grid point sigma_w={sigma_w_grid[i]} (row {i})"
-            exc.args = tuple(list(exc.args) + [detail]) if exc.args else (detail,)
-            raise
-
-    reports = _train_map(model, op, [noise] * len(configs), configs, certify_row)
+    reports = [report for report, _ in _train_map(model, op, runs, eval_samples)]
     risks = np.array([report.values for report in reports])
     ci_low = np.array([report.ci_low for report in reports])
     ci_high = np.array([report.ci_high for report in reports])

@@ -100,7 +100,8 @@ def test_criterion_4_trained_risks_match_closed_form():
     eps_grid = np.linspace(0.0, 0.7, 8)
     n_eval = 200
     # The 16 independent runs go through _train_map: each worker trains its
-    # share of them in lockstep stacks.
+    # share of them in lockstep stacks and certifies each run on the draw
+    # robust_risk_exact(..., n_eval, seed=0) makes.
     configs = [
         jl.TrainConfig(objective="adversarial", eps=float(eps), lr=1e-4, n_iterations=30000,
                        seed=100 + j)
@@ -113,9 +114,8 @@ def test_criterion_4_trained_risks_match_closed_form():
         )
         for j, eps in enumerate(eps_grid)
     ]
-    trained = _train_map(
-        model, op, [noise] * len(configs), configs, lambda i, run: run().estimator
-    )
+    runs = [(noise, config, float(eps), 0) for config, eps in zip(configs, [*eps_grid, *eps_grid])]
+    reports = [report for report, _ in _train_map(model, op, runs, n_eval)]
     all_ok = True
     lines = []
     for j, eps in enumerate(eps_grid):
@@ -123,8 +123,7 @@ def test_criterion_4_trained_risks_match_closed_form():
         alpha = jl.optimal_robust_alpha(sigma_c, sigma_z, D, N_AMBIENT, eps)
         cf = (eps * alpha + np.sqrt(
             jl.standard_risk_closed_form(alpha, sigma_c, sigma_z, D, N_AMBIENT))) ** 2
-        ra = jl.robust_risk_exact(trained[j], model, op, noise, eps, n_eval, seed=0)
-        rj = jl.robust_risk_exact(trained[8 + j], model, op, noise, eps, n_eval, seed=0)
+        ra, rj = reports[j], reports[8 + j]
         overlap = ra.ci_low[0] <= rj.ci_high[0] and rj.ci_low[0] <= ra.ci_high[0]
         cf_in_adv = ra.ci_low[0] <= cf <= ra.ci_high[0]
         cf_in_jit = rj.ci_low[0] <= cf <= rj.ci_high[0]

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -126,12 +127,13 @@ def test_bad_list_fails_with_json_error_and_writes_nothing(tmp_path, capsys, arg
     (["gap", "--lr", "7"], "ConfigError"),
     (["alpha-curve", "--n", "7"], "ConfigError"),
     (["equivalence", "--ratio", "0.1"], "ConfigError"),
+    (["gap", "--ratio", "0.5"], "ConfigError"),
 ], ids=["negative-seed", "zero-sigma-c", "large-eps-zero-sigma-c", "equivalence-one-sample",
         "large-eps-one-sample", "sweep-no-sample", "gap-one-sample", "equivalence-bogus-operator",
         "gap-bogus-operator", "large-eps-bogus-operator", "sweep-bogus-operator",
         "alpha-curve-sigma-z", "large-eps-sigma-z", "alpha-curve-unused-key",
         "missing-config-file", "non-utf-8-config-file", "gap-training-key",
-        "alpha-curve-size-key", "equivalence-ratio"])
+        "alpha-curve-size-key", "equivalence-ratio", "gap-ratio-off-geometric"])
 def test_bad_value_fails_with_one_json_line_and_writes_nothing(tmp_path, capfd, args, error):
     # capfd, not capsys: gap's forked workers write to the file descriptor.
     # The case's flag comes last, so that it overrides the small sizes.  A
@@ -145,6 +147,25 @@ def test_bad_value_fails_with_one_json_line_and_writes_nothing(tmp_path, capfd, 
     payload = json.loads(lines[0])
     assert payload["error"] == error
     assert args[1][2:].replace("-", "_") in payload["detail"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failing_run_prints_one_readable_detail_naming_it(tmp_path, capfd):
+    # Every large-eps run diverges at this step size; the first in item
+    # order is raised, its message and its name joined in one detail.
+    out = tmp_path / "x.csv"
+    assert main([
+        "large-eps", "--n", "12", "--d", "4", "--n-iterations", "50", "--eval-samples", "20",
+        "--optimizer", "sgd", "--lr", "1000", "--out", str(out),
+    ]) == 1
+    lines = capfd.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "TrainingDivergenceError"
+    assert re.fullmatch(
+        r"non-finite loss at iteration \d+; run 0: adversarial seed=\d+ eps=0\.0 sigma_w=0\.0",
+        payload["detail"],
+    )
     assert list(tmp_path.iterdir()) == []
 
 
@@ -211,6 +232,20 @@ def test_gap_small_run_ordering(tmp_path):
     assert 0 < risks[("standard", "0")] < 1.0
 
 
+def test_gap_reads_ratio_at_geometric(tmp_path):
+    # ratio shapes the geometric spectrum alone: there gap reads it, and
+    # its rows move with it (elsewhere it is rejected, see above).
+    rows = {}
+    for ratio in ("0.5", "0.7"):
+        out = str(tmp_path / f"{ratio}.csv")
+        assert main([
+            "gap", "--out", out, "--n", "8", "--d", "2", "--eval-samples", "10",
+            "--operator", "geometric", "--ratio", ratio,
+        ]) == 0
+        rows[ratio] = _read_rows(out)[2]
+    assert rows["0.5"] != rows["0.7"]
+
+
 def test_gap_best_jitter_beats_standard(tmp_path):
     # At sigma_z = 1 the best jitter level is far from 0, so the
     # jittering-best rows must not repeat the standard ones.
@@ -266,12 +301,14 @@ def test_sweep_rejects_eps_without_a_theory_level_before_training(
 
 @pytest.mark.parametrize("command", ["gap", "equivalence", "large-eps", "sweep"])
 def test_drivers_draw_the_evaluation_set_once(tmp_path, monkeypatch, command):
-    # Every estimator and eps of a run is certified on one shared draw,
-    # made before the map (sweep draws inside sweep_jitter_levels).
-    # large-eps has one set per noise level, which each process draws when
-    # it first certifies a run of that level: at most once per process.
-    # Draws are logged to a file, as forked workers cannot append to this
-    # process's lists.  Default grids, tiny sizes and budgets, two CPUs.
+    # gap draws its one set in this process, before the map.  The training
+    # drivers share one rule, _train_map's: a process draws a set when it
+    # first certifies a run of that set, so every set is drawn, no process
+    # draws one twice, and on two CPUs both workers draw and this process
+    # none (large-eps has one set per noise level, equivalence and sweep
+    # one).  Draws are
+    # logged to a file, as forked workers cannot append to this process's
+    # lists.  Default grids, tiny sizes and budgets, two CPUs.
     log = tmp_path / "draws.log"
     real = jitterlab.model._latent_blocks  # opens the streams of every draw
 
@@ -288,12 +325,14 @@ def test_drivers_draw_the_evaluation_set_once(tmp_path, monkeypatch, command):
     cfg = resolve_config(command, sizes)
     COMMAND_FUNCS[command](cfg)
     draws = [tuple(line.split()) for line in log.read_text().splitlines()]
-    if command == "large-eps":
-        assert len(set(draws)) == len(draws)
-        assert len({(sigma_z, seed) for _, sigma_z, seed in draws}) == len(cfg["noise_levels"])
-        assert len({pid for pid, _, _ in draws}) == 2
-    else:
+    if command == "gap":
         assert draws == [(str(os.getpid()),) + draws[0][1:]]
+    else:
+        sets = len(cfg["noise_levels"]) if command == "large-eps" else 1
+        assert len({(sigma_z, seed) for _, sigma_z, seed in draws}) == sets
+        assert len(set(draws)) == len(draws)
+        assert len({pid for pid, _, _ in draws}) == 2
+        assert str(os.getpid()) not in {pid for pid, _, _ in draws}
 
 
 @pytest.mark.parametrize(
@@ -378,7 +417,8 @@ def test_gap_certifies_its_standard_estimator_once_per_share(tmp_path, monkeypat
 def test_large_eps_raises_the_first_failing_run(tmp_path, monkeypatch, cpus):
     # All levels train in one map.  Two runs of the last level fail, in
     # different processes when there are several: the earlier in item order
-    # (level by level, eps by eps) is raised, and no CSV is written.
+    # (level by level, eps by eps) is raised, with the run named in one
+    # more arg, and no CSV is written.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     out = tmp_path / "x.csv"
     cfg = resolve_config("large-eps", {
@@ -397,8 +437,14 @@ def test_large_eps_raises_the_first_failing_run(tmp_path, monkeypatch, cpus):
         ]
 
     monkeypatch.setattr(jitterlab.training, "_train_stack", failing_stack)
-    with pytest.raises(TrainingDivergenceError, match="eps index 2$"):
+    with pytest.raises(TrainingDivergenceError) as info:
         COMMAND_FUNCS["large-eps"](cfg)
+    seed = next(seed for seed, j in failing.items() if j == 2)
+    eps = float(np.sqrt(cfg["eps_sq_rel_grid"][2]) * cfg["sigma_c"])
+    position = len(cfg["eps_sq_rel_grid"]) * last + 2
+    assert info.value.args == (
+        "eps index 2", f"run {position}: adversarial seed={seed} eps={eps} sigma_w=0.0"
+    )
     assert list(tmp_path.iterdir()) == []
 
 

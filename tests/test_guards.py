@@ -22,6 +22,8 @@ from jitterlab.training import TrainConfig, _train_stack, sweep_jitter_levels
 
 # Parameter names that carry a radius, a scale or a regularization weight.
 RANGED = ("eps", "eps_grid", "sigma_c", "sigma_z", "sigma_w", "sigma_w_grid", "reg")
+# Parameter names that carry a dimension.
+DIMENSIONS = ("d", "n", "m")
 # Result records: they hold what a computation returned, not an input.
 RESULTS = ("RiskReport", "SweepResult")
 
@@ -46,32 +48,30 @@ def _arguments() -> dict:
         "basis": model.basis, "h": estimator.matrix, "x": x, "y": y, "v": x[:, 0],
         "c": np.ones(model.d), "z": np.zeros(model.n), "alpha": 0.5,
         "sigma_i": np.full(model.d, 0.5), "lambda_i": np.ones(model.d),
-        "n": model.n, "d": model.d, "m": noise.m, "seed": 0,
+        "n": model.n, "d": model.d, "m": noise.m, "seed": 0, "spectrum": "identity",
         "n_steps": 2, "n_samples": 4, "eval_samples": 4, "base_config": TrainConfig(n_iterations=1),
         "eps": 0.2, "eps_grid": np.array([0.0, 0.2]), "sigma_c": 1.0, "sigma_z": 0.5,
         "sigma_w": 0.1, "sigma_w_grid": np.array([0.0, 0.1]), "reg": 0.01,
     }
 
 
-def _ranged_parameters() -> list[tuple[str, str]]:
-    """(public name, parameter) for each ranged parameter of a public callable."""
+def _public_parameters(names: tuple[str, ...]) -> list[tuple[str, str]]:
+    """(public name, parameter) for each parameter in names of a public callable."""
     pairs = []
     for name in sorted(jitterlab.__all__):
         obj = getattr(jitterlab, name)
         exception = isinstance(obj, type) and issubclass(obj, Exception)
         if callable(obj) and not exception and name not in RESULTS:
-            pairs += [(name, p) for p in inspect.signature(obj).parameters if p in RANGED]
+            pairs += [(name, p) for p in inspect.signature(obj).parameters if p in names]
     return pairs
 
 
-PAIRS = _ranged_parameters()
+PAIRS = _public_parameters(RANGED)
+DIMENSION_PAIRS = _public_parameters(DIMENSIONS)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), -1.0], ids=["nan", "negative"])
-@pytest.mark.parametrize("name, param", PAIRS, ids=[f"{name}-{param}" for name, param in PAIRS])
-def test_ranged_parameter_rejects_nan_and_negatives(name, param, bad):
-    # Every public callable with a ranged parameter rejects NaN and -1 there,
-    # naming it; a new parameter name needs a value in _arguments first.
+def _call_with(name: str, param: str, bad):
+    """The public callable `name`, called with param=bad and a valid value for every other."""
     func, values = getattr(jitterlab, name), _arguments()
     kwargs = {param: bad}
     for other, spec in inspect.signature(func).parameters.items():
@@ -79,16 +79,37 @@ def test_ranged_parameter_rejects_nan_and_negatives(name, param, bad):
             kwargs[other] = values[other]
         elif other != param and spec.default is inspect.Parameter.empty:
             pytest.fail(f"{name}: no test value for parameter {other!r}")
+    return func(**kwargs)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -1.0], ids=["nan", "negative"])
+@pytest.mark.parametrize("name, param", PAIRS, ids=[f"{name}-{param}" for name, param in PAIRS])
+def test_ranged_parameter_rejects_nan_and_negatives(name, param, bad):
+    # Every public callable with a ranged parameter rejects NaN and -1 there,
+    # naming it; a new parameter name needs a value in _arguments first.
     with pytest.raises(InvalidParameterError, match=param.removesuffix("_grid")):
-        func(**kwargs)
+        _call_with(name, param, bad)
+
+
+@pytest.mark.parametrize("bad", [0, -1, 1.5, True], ids=["zero", "negative", "fraction", "bool"])
+@pytest.mark.parametrize(
+    "name, param", DIMENSION_PAIRS, ids=[f"{name}-{param}" for name, param in DIMENSION_PAIRS]
+)
+def test_dimension_rejects_non_positive_and_non_int(name, param, bad):
+    # Every public callable with a dimension d, n or m takes only an int >= 1
+    # there, and its error names the parameter as a word.
+    with pytest.raises((InvalidParameterError, InvalidDimensionError), match=rf"\b{param}\b"):
+        _call_with(name, param, bad)
 
 
 def test_ranged_parameters_cover_the_public_api():
-    # The scan above finds classes and functions alike, and leaves out the results.
+    # The scans above find classes and functions alike, and leave out the results.
     assert {("optimal_robust_alpha", "eps"), ("conjectured_robust_estimator", "eps"),
             ("robust_risk_mode_form", "sigma_z"), ("sweep_jitter_levels", "sigma_w_grid"),
             ("ridge_estimator", "reg"), ("AttackConfig", "eps")} <= set(PAIRS)
-    assert not any(name in RESULTS for name, _ in PAIRS)
+    assert {("NoiseModel", "m"), ("make_subspace", "d"), ("robust_risk_mode_form", "m"),
+            ("standard_risk_closed_form", "n")} <= set(DIMENSION_PAIRS)
+    assert not any(name in RESULTS for name, _ in PAIRS + DIMENSION_PAIRS)
 
 
 def _with_setup(call):

@@ -154,7 +154,7 @@ def test_sweep_shapes_and_zero_eps_argmin():
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
 def test_sweep_names_the_first_failing_row(monkeypatch, cpus):
     # Rows 1 and 2 fail, in different processes on two CPUs.  Row 1's error
-    # is raised with its grid point appended, and keeps its trace.
+    # is raised with its run named in one more arg, and keeps its trace.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     model, op, noise = _setup(n=12, d=4)
     sw_grid = np.array([0.0, 0.1, 0.2, 0.3])
@@ -176,7 +176,9 @@ def test_sweep_names_the_first_failing_row(monkeypatch, cpus):
     monkeypatch.setattr(jitterlab.training, "_train_stack", failing_stack)
     with pytest.raises(TrainingDivergenceError) as info:
         sweep_jitter_levels(model, op, noise, np.array([0.2]), sw_grid, 20, 0, base_config=base)
-    assert info.value.args == ("sigma_w 0.1", "sweep grid point sigma_w=0.1 (row 1)")
+    assert info.value.args == (
+        "sigma_w 0.1", f"run 1: jittering seed={_sub_seed(0, 1)} eps=0.0 sigma_w=0.1"
+    )
     assert np.array_equal(info.value.trace.losses, own.losses)
     assert np.array_equal(info.value.trace.estimator.matrix, own.estimator.matrix)
     assert multiprocessing.active_children() == []
@@ -436,29 +438,34 @@ def test_train_stack_checks_no_attack_budget(monkeypatch):
 def test_train_map_raises_the_first_failing_run(monkeypatch, cpus):
     # Runs 1 and 3 diverge.  Whether the runs stack in one process or two,
     # the first failure in item order is raised, as the plain loop would
-    # raise it: run 1's divergence with its partial trace when finish fails
-    # at item 2, and finish's error when it fails at item 0.
+    # raise it, with the run named in one more arg: run 1's divergence with
+    # its partial trace when certify fails at item 2, and certify's error
+    # when it fails at item 0.  Run i is certified at radius i / 10.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     model, op, noise = _setup()
     configs = _diverging()
     configs.append(replace(configs[1], seed=9))
+    runs = [(noise, config, i / 10, 0) for i, config in enumerate(configs)]
+    real = jitterlab.training.certify
 
-    def finish_failing_at(k):
-        def finish(i, run):
-            trace = run()
-            if i == k:
-                raise ValueError(f"item {i}")
-            return trace.estimator.matrix
-        return finish
+    def certify_failing_at(k):
+        def certify(estimator, x, y, eps):
+            if eps == k / 10:
+                raise ValueError(f"item {k}")
+            return real(estimator, x, y, eps)
+        return certify
 
+    monkeypatch.setattr(jitterlab.training, "certify", certify_failing_at(2))
     with pytest.raises(TrainingDivergenceError) as info:
-        _train_map(model, op, [noise] * len(configs), configs, finish_failing_at(2))
+        _train_map(model, op, runs, 20)
     with pytest.raises(TrainingDivergenceError) as alone:
         train(model, op, noise, configs[1])
-    assert str(info.value) == str(alone.value)
+    assert info.value.args == alone.value.args + ("run 1: jittering seed=1 eps=0.0 sigma_w=10.0",)
     assert np.array_equal(info.value.trace.losses, alone.value.trace.losses)
-    with pytest.raises(ValueError, match="item 0"):
-        _train_map(model, op, [noise] * len(configs), configs, finish_failing_at(0))
+    monkeypatch.setattr(jitterlab.training, "certify", certify_failing_at(0))
+    with pytest.raises(ValueError) as info:
+        _train_map(model, op, runs, 20)
+    assert info.value.args == ("item 0", "run 0: jittering seed=0 eps=0.0 sigma_w=0.1")
     assert multiprocessing.active_children() == []
 
 
@@ -469,9 +476,10 @@ def test_train_map_raises_a_dimension_mismatch_itself(monkeypatch, cpus):
     # ChildProcessError, and leaves no child process behind.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     model, op, _ = _setup(n=10, d=3)
-    configs = [TrainConfig(n_iterations=5, seed=seed) for seed in range(2)]
+    runs = [(NoiseModel(m=7, sigma_z=0.4), TrainConfig(n_iterations=5, seed=seed), 0.1, 0)
+            for seed in range(2)]
     with pytest.raises(InvalidDimensionError, match="10 rows but noise lives in dimension 7"):
-        _train_map(model, op, [NoiseModel(m=7, sigma_z=0.4)] * 2, configs, lambda i, run: run())
+        _train_map(model, op, runs, 20)
     assert multiprocessing.active_children() == []
 
 
