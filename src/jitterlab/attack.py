@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import AttackDivergenceError, InvalidParameterError
 from .estimators import LinearEstimator
-from .model import _check_integer, _check_nonnegative, _check_positive, rng_stream
+from .model import _check_count, _check_nonnegative, _check_positive, rng_stream
 
 # What a non-finite _pgd_perturb result reads as, raised here or recorded by the training loop.
 _DIVERGED = "batch attack produced non-finite perturbations"
@@ -37,9 +37,9 @@ _DIVERGED = "batch attack produced non-finite perturbations"
 
 def _check_budget(eps: float | np.ndarray, n_steps: int, step_scale: float) -> None:
     """eps is one radius or an array of them, one per stacked run."""
-    _check_integer(n_steps=n_steps)
+    _check_count(1, n_steps=n_steps)
     _check_nonnegative(eps=eps)
-    _check_positive(n_steps=n_steps, step_scale=step_scale)
+    _check_positive(step_scale=step_scale)
     if not (np.all(np.isfinite(eps)) and math.isfinite(step_scale)):
         raise InvalidParameterError(f"need finite eps and step_scale, got {eps}, {step_scale}")
 
@@ -59,8 +59,7 @@ class AttackConfig:
 
     def __post_init__(self) -> None:
         _check_budget(self.eps, self.n_steps, self.step_scale)
-        _check_integer(n_restarts=self.n_restarts)
-        _check_positive(n_restarts=self.n_restarts)
+        _check_count(1, n_restarts=self.n_restarts)
 
 
 def _column_norms(a: np.ndarray, sq: np.ndarray, out: np.ndarray) -> None:

@@ -31,7 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command in COMMANDS:
         cmd = sub.add_parser(command, help=f"run the {command} experiment")
         cmd.add_argument("--config", default=None, help="key=value config file")
-        for key, (_, help_text) in KEY_SPECS.items():
+        for key, help_text in KEY_SPECS.items():
             if key == "out":
                 cmd.add_argument("--out", required=True, help=help_text)
             else:

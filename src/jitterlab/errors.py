@@ -13,11 +13,11 @@ class JitterlabError(Exception):
 
 
 class InvalidDimensionError(JitterlabError, ValueError):
-    """A dimension argument is out of range (e.g. d > n or d == 0)."""
+    """A dimension n, d or m below 1, or sizes that do not fit together (d > n, shapes)."""
 
 
 class InvalidParameterError(JitterlabError, ValueError):
-    """A scalar parameter is outside its legal range."""
+    """A parameter is outside its legal range, or a count, seed or dimension is not an int."""
 
 
 class EvaluationError(JitterlabError, RuntimeError):

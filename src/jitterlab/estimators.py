@@ -36,7 +36,7 @@ from .errors import (
     OutOfRegimeError,
 )
 from .model import (
-    ForwardOperator, NoiseModel, SubspaceModel, _check_integer, _check_nonnegative, _check_positive,
+    ForwardOperator, NoiseModel, SubspaceModel, _check_count, _check_nonnegative, _check_positive,
     _check_triple, _readonly,
 )
 
@@ -241,8 +241,8 @@ def optimal_robust_alpha(sigma_c: float, sigma_z: float, d: int, n: int, eps: fl
              / sqrt(sigma_c^2 + sigma_z^2 d/n - eps^2)) / (sigma_c^2 + sigma_z^2 d/n)
     when eps^2 < sigma_c^2, and 0 past that transition.
     """
-    _check_integer(d=d, n=n)
-    _check_positive(sigma_c=sigma_c, d=d, n=n)
+    _check_count(1, d=d, n=n)
+    _check_positive(sigma_c=sigma_c)
     _check_nonnegative(sigma_z=sigma_z, eps=eps)
     sc2 = sigma_c**2
     if eps**2 >= sc2:
@@ -269,8 +269,8 @@ def jittering_denoiser_alpha(
     sigma_c: float, sigma_z: float, d: int, n: int, sigma_w: float
 ) -> float:
     """Jittering-risk-minimizing shrinkage for denoising at jitter level sigma_w."""
-    _check_integer(d=d, n=n)
-    _check_positive(sigma_c=sigma_c, d=d, n=n)
+    _check_count(1, d=d, n=n)
+    _check_positive(sigma_c=sigma_c)
     _check_nonnegative(sigma_z=sigma_z, sigma_w=sigma_w)
     sc2 = sigma_c**2
     return float(sc2 / (sc2 + sigma_z**2 * d / n + sigma_w**2 * d))
@@ -286,8 +286,8 @@ def jitter_level_for_eps(
                      / (d (sigma_c^2 - eps^2)),
     defined for eps^2 < sigma_c^2.
     """
-    _check_integer(d=d, n=n)
-    _check_positive(sigma_c=sigma_c, d=d, n=n)
+    _check_count(1, d=d, n=n)
+    _check_positive(sigma_c=sigma_c)
     _check_nonnegative(sigma_z=sigma_z, eps=eps)
     sc2 = sigma_c**2
     if eps**2 >= sc2:

@@ -46,6 +46,7 @@ from .model import (
     ForwardOperator,
     NoiseModel,
     SubspaceModel,
+    _check_count,
     _check_nonnegative,
     _check_positive,
     _draw_latent_set,
@@ -54,7 +55,7 @@ from .model import (
     make_subspace,
 )
 from .risk import (
-    RiskReport, _check_eval_samples, best_jitter_level_analytic, certify, standard_risk_closed_form,
+    RiskReport, best_jitter_level_analytic, certify, standard_risk_closed_form,
 )
 from .training import TrainConfig, _map_shares, _train_map, sweep_jitter_levels
 
@@ -64,7 +65,7 @@ COMMANDS = ("alpha-curve", "equivalence", "gap", "large-eps", "sweep")
 def _parse_int(text: str) -> int:
     """An integer >= 0: every integer key is a size, a count or the seed."""
     value = int(text)
-    _check_nonnegative(value=value)
+    _check_count(0, value=value)
     return value
 
 
@@ -73,10 +74,6 @@ def _parse_float(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError("value must be finite")
     return value
-
-
-def _parse_str(text: str) -> str:
-    return text
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -88,27 +85,30 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return values
 
 
-# key -> (parser, help)
-KEY_SPECS: dict[str, tuple] = {
-    "n": (_parse_int, "ambient signal dimension"),
-    "d": (_parse_int, "subspace dimension"),
-    "m": (_parse_int, "measurement dimension"),
-    "sigma_c": (_parse_float, "signal scale, sqrt of expected signal energy"),
-    "sigma_z": (_parse_float, "noise scale, sqrt of expected noise energy"),
-    "operator": (_parse_str, "forward operator: identity | linear-decay | geometric"),
-    "ratio": (_parse_float, "geometric spectrum ratio in (0, 1]"),
-    "seed": (_parse_int, "master seed; every stream derives from it"),
-    "eval_samples": (_parse_int, "Monte-Carlo sample count per risk estimate"),
-    "eps_grid": (_parse_float_list, "comma-separated perturbation radii"),
-    "eps_sq_rel_grid": (_parse_float_list, "comma-separated eps^2/sigma_c^2 values"),
-    "sigma_w_grid": (_parse_float_list, "comma-separated jitter levels (empty = auto)"),
-    "noise_levels": (_parse_float_list, "comma-separated noise levels (per-command units)"),
-    "lr": (_parse_float, "training learning rate"),
-    "batch_size": (_parse_int, "training minibatch size"),
-    "n_iterations": (_parse_int, "training iteration count"),
-    "optimizer": (_parse_str, "training optimizer: adaptive | sgd"),
-    "attack_steps": (_parse_int, "PGD steps during adversarial training"),
-    "out": (_parse_str, "output CSV path"),
+# Each config key's text parses as the type of the key's default.
+_PARSERS = {int: _parse_int, float: _parse_float, str: str, tuple: _parse_float_list}
+
+# key -> help
+KEY_SPECS: dict[str, str] = {
+    "n": "ambient signal dimension",
+    "d": "subspace dimension",
+    "m": "measurement dimension",
+    "sigma_c": "signal scale, sqrt of expected signal energy",
+    "sigma_z": "noise scale, sqrt of expected noise energy",
+    "operator": "forward operator: identity | linear-decay | geometric",
+    "ratio": "geometric spectrum ratio in (0, 1]",
+    "seed": "master seed; every stream derives from it",
+    "eval_samples": "Monte-Carlo sample count per risk estimate",
+    "eps_grid": "comma-separated perturbation radii",
+    "eps_sq_rel_grid": "comma-separated eps^2/sigma_c^2 values",
+    "sigma_w_grid": "comma-separated jitter levels (empty = auto)",
+    "noise_levels": "comma-separated noise levels (per-command units)",
+    "lr": "training learning rate",
+    "batch_size": "training minibatch size",
+    "n_iterations": "training iteration count",
+    "optimizer": "training optimizer: adaptive | sgd",
+    "attack_steps": "PGD steps during adversarial training",
+    "out": "output CSV path",
 }
 
 _COMMON_DEFAULTS = {
@@ -202,7 +202,7 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 
 def resolve_config(command: str, raw_items: dict[str, str]) -> dict:
-    """Defaults overlaid with raw string items, typed-parsed per key."""
+    """Defaults overlaid with raw string items, each parsed as the type of its key's default."""
     if command not in COMMAND_DEFAULTS:
         raise ConfigError(f"unknown command {command!r}")
     defaults = COMMAND_DEFAULTS[command]
@@ -212,9 +212,8 @@ def resolve_config(command: str, raw_items: dict[str, str]) -> dict:
             raise ConfigError(f"unknown config key {key!r}")
         if key not in cfg:
             raise ConfigError(f"key {key!r} is not used by command {command!r}")
-        parser = KEY_SPECS[key][0]
         try:
-            cfg[key] = parser(text)
+            cfg[key] = _PARSERS[type(defaults[key])](text)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {text!r} ({exc})") from exc
         if cfg[key] == () and key != "sigma_w_grid":  # an empty sigma_w_grid means auto
@@ -284,7 +283,7 @@ def _risk_cells(report: RiskReport, k: int, n: int) -> str:
 
 
 def _build_setup(cfg: dict) -> tuple[SubspaceModel, ForwardOperator, NoiseModel]:
-    _check_eval_samples(cfg["eval_samples"])
+    _check_count(2, eval_samples=cfg["eval_samples"])
     model = make_subspace(cfg["n"], cfg["d"], cfg["sigma_c"], cfg["seed"])
     op = make_diagonal_operator(cfg["n"], cfg["operator"], cfg.get("ratio"))
     noise = NoiseModel(m=cfg["m"], sigma_z=cfg["sigma_z"])

@@ -14,8 +14,10 @@ one row block; an evaluation set drawn in latent coordinates forms no X or Y.
 
 Every numeric parameter's range is one rule, _check_nonnegative (>= 0) or
 _check_positive (> 0) on numbers or arrays: NaN fails, and the error names it.
-A count, a dimension or a seed is also checked by _check_integer: an int,
-not a bool or a float.
+Every count, dimension and seed passes one integer rule, _check_count: an
+int, not a bool or a float, at least 0, 1 or 2 as the value needs.  A
+dimension n, d or m below 1 raises InvalidDimensionError, any other failure
+InvalidParameterError, and the error names the value.
 """
 
 from __future__ import annotations
@@ -48,15 +50,13 @@ def rng_stream(seed: int, *path: int) -> np.random.Generator:
     (seed, path) always yields the same stream (Philox4x64-10 keyed through
     a SeedSequence spawn key).
     """
-    _check_integer(seed=seed)
-    _check_nonnegative(seed=seed)
+    _check_count(0, seed=seed)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=path)))
 
 
 def _sub_seed(master: int, *path: int) -> int:
     """Integer seed for one (master, path) coordinate, as a SeedSequence spawn key."""
-    _check_integer(seed=master)
-    _check_nonnegative(seed=master)
+    _check_count(0, seed=master)
     return int(np.random.SeedSequence(master, spawn_key=path).generate_state(1)[0])
 
 
@@ -79,11 +79,18 @@ def _check_positive(**values) -> None:
             raise InvalidParameterError(f"{name} must be > 0, got {value}")
 
 
-def _check_integer(**values) -> None:
-    """Each named value is an integer (numbers.Integral, but not bool)."""
+def _check_count(least: int, /, **values) -> None:
+    """The one integer rule: each named value is an int, not a bool, and >= least.
+
+    A dimension n, d or m that is an int below least raises InvalidDimensionError;
+    every other failure raises InvalidParameterError.
+    """
     for name, value in values.items():
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-            raise InvalidParameterError(f"{name} must be an int, got {value!r}")
+        integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+        if not (integral and value >= least):
+            dimension = integral and name in ("n", "d", "m")
+            error = InvalidDimensionError if dimension else InvalidParameterError
+            raise error(f"{name} must be an int >= {least}, got {value!r}")
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -133,9 +140,7 @@ class NoiseModel:
     sigma_z: float
 
     def __post_init__(self) -> None:
-        _check_integer(m=self.m)
-        if not self.m >= 1:
-            raise InvalidDimensionError(f"m must be >= 1, got {self.m}")
+        _check_count(1, m=self.m)
         _check_nonnegative(sigma_z=self.sigma_z)
         if not np.isfinite(self.sigma_z):
             raise InvalidParameterError(f"sigma_z must be finite, got {self.sigma_z!r}")
@@ -204,8 +209,8 @@ def make_subspace(n: int, d: int, sigma_c: float, seed: int) -> SubspaceModel:
     QR-orthonormalizes a seeded n x d standard-Gaussian matrix; the sign of
     each column is fixed so the result is unique, hence bit-reproducible.
     """
-    _check_integer(n=n, d=d)
-    if not 1 <= d <= n:
+    _check_count(1, n=n, d=d)
+    if d > n:
         raise InvalidDimensionError(f"need 1 <= d <= n, got n={n}, d={d}")
     g = rng_stream(seed, 0).standard_normal((n, d))
     q, r = np.linalg.qr(g)
@@ -220,9 +225,7 @@ def make_diagonal_operator(n: int, spectrum: str, ratio: float | None = None) ->
     descending along the coordinates), or "geometric" (values ratio^i for
     i = 1..n, descending along the coordinates; requires 0 < ratio <= 1).
     """
-    _check_integer(n=n)
-    if not n >= 1:
-        raise InvalidDimensionError(f"n must be >= 1, got {n}")
+    _check_count(1, n=n)
     if spectrum == "identity":
         diag = np.ones(n)
     elif spectrum == "linear-decay":
@@ -261,8 +264,7 @@ def _latent_blocks(model: SubspaceModel, noise: NoiseModel, count: int, seed: in
 
     Chunk j's rng_stream(seed, j) gives C's rows, then Z's: exhaust C's blocks first.
     """
-    _check_integer(count=count)
-    _check_nonnegative(count=count)
+    _check_count(0, count=count)
     streams = [rng_stream(seed, start // _CHUNK) for start in range(0, count, _CHUNK)]
 
     def blocks(n_rows, scale):

@@ -50,8 +50,8 @@ from .errors import (
 )
 from .estimators import LinearEstimator, _increasing_root, _jittering_shrinkage
 from .model import (
-    ForwardOperator, NoiseModel, SubspaceModel, _check_integer, _check_nonnegative, _check_positive,
-    _check_triple, _column_blocks, draw_sample_arrays,
+    ForwardOperator, NoiseModel, SubspaceModel, _check_count, _check_nonnegative, _check_triple,
+    _column_blocks, draw_sample_arrays,
 )
 
 # 66% two-sided normal quantile: CI = mean +- 0.954 * SE.
@@ -241,15 +241,9 @@ def residuals(
     seed: int,
 ) -> np.ndarray:
     """Unperturbed residual columns v = H y - x = (H A - I) x + H z."""
+    _check_count(0, n_samples=n_samples)
     x, y = draw_sample_arrays(model, op, noise, n_samples, seed)[:2]
     return estimator.apply(y) - x
-
-
-def _check_eval_samples(eval_samples: int) -> None:
-    """certify needs two samples; it checks its set, callers check before drawing or training."""
-    _check_integer(eval_samples=eval_samples)
-    if not eval_samples >= 2:
-        raise InvalidParameterError(f"need eval_samples >= 2, got {eval_samples}")
 
 
 def certify(
@@ -269,6 +263,11 @@ def certify(
     512-column-or-wider last block.  Callers certify every estimator they
     compare on the same (x, y), so differences between estimators and
     between radii are not Monte-Carlo noise.
+
+    A non-finite value in x or y raises InvalidParameterError, and a finite
+    set whose risk or interval is not finite (an estimator so large that its
+    residuals overflow) EvaluationError, at every radius and with no
+    RuntimeWarning; x and y are scanned only once a result is not finite.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     n, m = estimator.shape
@@ -276,14 +275,22 @@ def certify(
         raise InvalidDimensionError(
             f"estimator {estimator.shape} does not match signals {x.shape}, measurements {y.shape}"
         )
-    _check_eval_samples(x.shape[1])
+    _check_count(2, eval_samples=x.shape[1])
     eps_grid = np.atleast_1d(np.asarray(eps_grid, dtype=float))
     duals = np.empty((eps_grid.size, x.shape[1]))
-    for cols in _column_blocks(x.shape[1], _CERTIFY_COLUMNS):
-        v = estimator.apply(y[:, cols])
-        v -= x[:, cols]
-        duals[:, cols] = dual_values_batch(estimator, v, eps_grid)
-    stats = np.array([_mean_ci(row) for row in duals]).reshape(-1, 3)
+    try:
+        with np.errstate(all="ignore"):  # a non-finite result raises below, by its cause
+            for cols in _column_blocks(x.shape[1], _CERTIFY_COLUMNS):
+                v = estimator.apply(y[:, cols])
+                v -= x[:, cols]
+                duals[:, cols] = dual_values_batch(estimator, v, eps_grid)
+            stats = np.array([_mean_ci(row) for row in duals]).reshape(-1, 3)
+        if not np.isfinite(stats).all():
+            raise EvaluationError("certified risk or its interval is not finite")
+    except EvaluationError:
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise InvalidParameterError("evaluation set x and y must be finite") from None
+        raise
     values, ci_low, ci_high = stats.T
     return RiskReport(eps_grid, values, ci_low, ci_high, x.shape[1])
 
@@ -298,6 +305,7 @@ def robust_risk_exact(
     seed: int,
 ) -> RiskReport:
     """Monte-Carlo robust risk at one eps: certify on a seeded draw of n_samples pairs."""
+    _check_count(2, n_samples=n_samples)
     x, y = draw_sample_arrays(model, op, noise, n_samples, seed)[:2]
     return certify(estimator, x, y, eps)
 
@@ -306,8 +314,7 @@ def standard_risk_closed_form(
     alpha: float, sigma_c: float, sigma_z: float, d: int, n: int
 ) -> float:
     """Exact unperturbed risk of the denoiser H = alpha U U'."""
-    _check_integer(d=d, n=n)
-    _check_positive(d=d, n=n)
+    _check_count(1, d=d, n=n)
     _check_nonnegative(sigma_c=sigma_c, sigma_z=sigma_z)
     return float(sigma_c**2 * (alpha - 1.0) ** 2 + alpha**2 * sigma_z**2 * d / n)
 
@@ -385,8 +392,7 @@ def robust_risk_mode_form(
     the two agree only as d -> infinity, and at small d the gap is a few
     percent.  Returns (bound, lam_star).
     """
-    _check_integer(d=d, m=m)
-    _check_positive(d=d, m=m)
+    _check_count(1, d=d, m=m)
     sigma_i = np.atleast_1d(np.asarray(sigma_i, dtype=float))
     lambda_i = np.atleast_1d(np.asarray(lambda_i, dtype=float))
     if sigma_i.shape != lambda_i.shape:

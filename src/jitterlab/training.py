@@ -52,18 +52,15 @@ from .attack import _DIVERGED, _pgd_perturb
 from .errors import AttackDivergenceError, InvalidParameterError, TrainingDivergenceError
 from .estimators import LinearEstimator
 from .model import (
-    ForwardOperator, NoiseModel, SubspaceModel, _check_integer, _check_nonnegative, _check_positive,
+    ForwardOperator, NoiseModel, SubspaceModel, _check_count, _check_nonnegative, _check_positive,
     _check_triple, _sub_seed, draw_sample_arrays, rng_stream,
 )
-from .risk import RiskReport, _check_eval_samples, certify
+from .risk import RiskReport, certify
 
 _OBJECTIVES = ("standard", "adversarial", "jittering")
 _OPTIMIZERS = ("sgd", "adaptive")
 # The adaptive rule's first and second moment decay rates and denominator offset.
 _BETA1, _BETA2, _EPS_HAT = 0.9, 0.999, 1e-8
-
-# True inside a _map_shares call; forked workers inherit it.
-_mapping = False
 
 
 def _run_share(prepare, finish, share: list) -> tuple[list, Exception | None]:
@@ -88,25 +85,24 @@ def _map_shares(prepare, finish, order) -> list:
     order lists the N item indices, dealt round-robin over P shares, so
     items next to each other in order go to different shares.  P is one
     per CPU this process may run on, capped at N; it is 1 on a platform
-    with no CPU affinity or no fork start method, and when called from
-    inside a share.  At P = 1 this process runs the one share; otherwise
-    worker k runs order[k::P] and this process only forks and joins, so
-    its peak memory is what it held before the call.  Each process calls
-    prepare(share) once, on its share's indices in ascending order, for
-    one value per item, then finish(i, value) per item in order, for item
-    i's result; an exception from prepare is charged to the share's first
-    item.  Only results and exceptions cross the pipes (pickled), so
-    prepare and finish may be closures over data the caller prepared
-    before the call, which the workers read copy-on-write.  The exception
-    of the first failing item in item order is raised, as the plain loop
-    would raise it.
+    with no CPU affinity or no fork start method.  At P = 1 this process
+    runs the one share; otherwise worker k runs order[k::P] and this
+    process only forks and joins, so its peak memory is what it held
+    before the call.  Each process calls prepare(share) once, on its
+    share's indices in ascending order, for one value per item, then
+    finish(i, value) per item in order, for item i's result; an exception
+    from prepare is charged to the share's first item.  Neither maps again:
+    a call from inside a share would fork P workers of its own.  Only
+    results and exceptions cross the pipes (pickled), so prepare and
+    finish may be closures over data the caller prepared before the call,
+    which the workers read copy-on-write.  The exception of the first
+    failing item in item order is raised, as the plain loop would raise it.
     """
-    global _mapping
     order = list(order)
     # sched_getaffinity is Linux-only; elsewhere (macOS forks unsafely once its
     # system frameworks run threads) the loop stays serial.
     affinity = getattr(os, "sched_getaffinity", lambda pid: {0})
-    procs = 1 if _mapping else max(1, min(len(affinity(0)), len(order)))
+    procs = max(1, min(len(affinity(0)), len(order)))
     if procs > 1:
         import multiprocessing  # lazily: only runs that fork pay for the import
 
@@ -119,7 +115,6 @@ def _map_shares(prepare, finish, order) -> list:
     shares = [sorted(order[k::procs]) for k in range(procs)]
     workers = []
     done = []  # (values, exc) per share, in share order
-    outer, _mapping = _mapping, True
     try:
         if procs == 1:
             done.append(_run_share(prepare, finish, shares[0]))
@@ -139,7 +134,6 @@ def _map_shares(prepare, finish, order) -> list:
                     f"fork-map worker exited with code {worker.exitcode} before sending results"
                 ) from None
     finally:
-        _mapping = outer  # a nested call keeps the outer call's flag
         for worker, recv in workers:
             if len(done) < procs:
                 worker.terminate()  # the map is failing: stop workers still running
@@ -180,19 +174,17 @@ class TrainConfig:
     record_every: int = 100
 
     def __post_init__(self) -> None:
-        _check_integer(seed=self.seed, n_iterations=self.n_iterations,
-                       batch_size=self.batch_size, attack_steps=self.attack_steps,
-                       record_every=self.record_every)
+        _check_count(0, seed=self.seed)
+        _check_count(1, n_iterations=self.n_iterations, batch_size=self.batch_size,
+                     attack_steps=self.attack_steps, record_every=self.record_every)
         if self.objective not in _OBJECTIVES:
             raise InvalidParameterError(f"objective must be one of {_OBJECTIVES}")
         if self.optimizer not in _OPTIMIZERS:
             raise InvalidParameterError(f"optimizer must be one of {_OPTIMIZERS}")
         if not np.all(np.isfinite((self.eps, self.sigma_w, self.lr))):
             raise InvalidParameterError("eps, sigma_w and lr must be finite")
-        _check_nonnegative(seed=self.seed, eps=self.eps, sigma_w=self.sigma_w,
-                           momentum=self.momentum)
-        _check_positive(lr=self.lr, batch_size=self.batch_size, n_iterations=self.n_iterations,
-                        attack_steps=self.attack_steps, record_every=self.record_every)
+        _check_nonnegative(eps=self.eps, sigma_w=self.sigma_w, momentum=self.momentum)
+        _check_positive(lr=self.lr)
         if not self.momentum < 1.0:
             raise InvalidParameterError(f"momentum must be < 1, got {self.momentum}")
 
@@ -419,7 +411,7 @@ def _train_map(
     An exception from training or certifying run i gets one more arg
     naming the run; the first failing item in item order raises.
     """
-    _check_eval_samples(eval_samples)
+    _check_count(2, eval_samples=eval_samples)
     keys = [(noise, _stack_key(config)) for noise, config, _, _ in runs]
     held = {}  # this process's one evaluation set, by (noise model, set seed)
 

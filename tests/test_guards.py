@@ -1,5 +1,6 @@
 """Input guards: the one range rule on every public radius, scale and weight,
-and one case for each guard that no other test reaches."""
+the one integer rule on every public dimension, count and seed, and one case
+for each guard that no other test reaches."""
 
 import inspect
 
@@ -24,6 +25,9 @@ from jitterlab.training import TrainConfig, _train_stack, sweep_jitter_levels
 RANGED = ("eps", "eps_grid", "sigma_c", "sigma_z", "sigma_w", "sigma_w_grid", "reg")
 # Parameter names that carry a dimension.
 DIMENSIONS = ("d", "n", "m")
+# Parameter names that carry a count or a seed.
+COUNTS = ("seed", "count", "n_samples", "eval_samples", "n_steps", "n_restarts", "n_iterations",
+          "batch_size", "attack_steps", "record_every")
 # Result records: they hold what a computation returned, not an input.
 RESULTS = ("RiskReport", "SweepResult")
 
@@ -36,9 +40,10 @@ def _setup():
 
 
 def _arguments() -> dict:
-    """One valid argument per parameter name of the public callables that take a ranged one.
+    """One valid argument per parameter name of the public callables that the scans call.
 
-    v is inner_max_dual's one column; dual_values_batch checks eps before v's shape.
+    v is inner_max_dual's one column; dual_values_batch checks eps before v's
+    shape, and pgd_attack checks its seed before x's and y's.
     """
     model, op, noise = _setup()
     estimator = mmse_estimator(model, op, noise)
@@ -49,7 +54,8 @@ def _arguments() -> dict:
         "c": np.ones(model.d), "z": np.zeros(model.n), "alpha": 0.5,
         "sigma_i": np.full(model.d, 0.5), "lambda_i": np.ones(model.d),
         "n": model.n, "d": model.d, "m": noise.m, "seed": 0, "spectrum": "identity",
-        "n_steps": 2, "n_samples": 4, "eval_samples": 4, "base_config": TrainConfig(n_iterations=1),
+        "n_steps": 2, "count": 4, "n_samples": 4, "eval_samples": 4,
+        "base_config": TrainConfig(n_iterations=1), "config": AttackConfig(eps=0.1, n_steps=2),
         "eps": 0.2, "eps_grid": np.array([0.0, 0.2]), "sigma_c": 1.0, "sigma_z": 0.5,
         "sigma_w": 0.1, "sigma_w_grid": np.array([0.0, 0.1]), "reg": 0.01,
     }
@@ -68,6 +74,7 @@ def _public_parameters(names: tuple[str, ...]) -> list[tuple[str, str]]:
 
 PAIRS = _public_parameters(RANGED)
 DIMENSION_PAIRS = _public_parameters(DIMENSIONS)
+COUNT_PAIRS = _public_parameters(COUNTS)
 
 
 def _call_with(name: str, param: str, bad):
@@ -77,7 +84,7 @@ def _call_with(name: str, param: str, bad):
     for other, spec in inspect.signature(func).parameters.items():
         if other != param and other in values:
             kwargs[other] = values[other]
-        elif other != param and spec.default is inspect.Parameter.empty:
+        elif other != param and spec.default is spec.empty and spec.kind is not spec.VAR_POSITIONAL:
             pytest.fail(f"{name}: no test value for parameter {other!r}")
     return func(**kwargs)
 
@@ -91,14 +98,30 @@ def test_ranged_parameter_rejects_nan_and_negatives(name, param, bad):
         _call_with(name, param, bad)
 
 
-@pytest.mark.parametrize("bad", [0, -1, 1.5, True], ids=["zero", "negative", "fraction", "bool"])
+@pytest.mark.parametrize("bad, error", [
+    (0, InvalidDimensionError), (-1, InvalidDimensionError),
+    (1.5, InvalidParameterError), (True, InvalidParameterError),
+], ids=["zero", "negative", "fraction", "bool"])
 @pytest.mark.parametrize(
     "name, param", DIMENSION_PAIRS, ids=[f"{name}-{param}" for name, param in DIMENSION_PAIRS]
 )
-def test_dimension_rejects_non_positive_and_non_int(name, param, bad):
+def test_dimension_rejects_non_positive_and_non_int(name, param, bad, error):
     # Every public callable with a dimension d, n or m takes only an int >= 1
-    # there, and its error names the parameter as a word.
-    with pytest.raises((InvalidParameterError, InvalidDimensionError), match=rf"\b{param}\b"):
+    # there: an int below 1 is a bad dimension, anything else not an int a bad
+    # parameter, and the error names the parameter as a word.
+    with pytest.raises(error, match=rf"\b{param}\b"):
+        _call_with(name, param, bad)
+
+
+@pytest.mark.parametrize("bad", [1.5, True, -1], ids=["fraction", "bool", "negative"])
+@pytest.mark.parametrize(
+    "name, param", COUNT_PAIRS, ids=[f"{name}-{param}" for name, param in COUNT_PAIRS]
+)
+def test_count_and_seed_reject_non_int_and_negatives(name, param, bad):
+    # Every public callable with a count or a seed takes only an int there,
+    # at least 0, 1 or 2 as it needs, and its error names the parameter as a
+    # word, not a helper's name for it.
+    with pytest.raises(InvalidParameterError, match=rf"\b{param}\b"):
         _call_with(name, param, bad)
 
 
@@ -109,7 +132,11 @@ def test_ranged_parameters_cover_the_public_api():
             ("ridge_estimator", "reg"), ("AttackConfig", "eps")} <= set(PAIRS)
     assert {("NoiseModel", "m"), ("make_subspace", "d"), ("robust_risk_mode_form", "m"),
             ("standard_risk_closed_form", "n")} <= set(DIMENSION_PAIRS)
-    assert not any(name in RESULTS for name, _ in PAIRS + DIMENSION_PAIRS)
+    assert {("residuals", "n_samples"), ("robust_risk_exact", "n_samples"),
+            ("draw_latents", "count"), ("pgd_attack", "seed"), ("AttackConfig", "n_restarts"),
+            ("TrainConfig", "record_every"), ("sweep_jitter_levels", "eval_samples")
+            } <= set(COUNT_PAIRS)
+    assert not any(name in RESULTS for name, _ in PAIRS + DIMENSION_PAIRS + COUNT_PAIRS)
 
 
 def _with_setup(call):

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import jitterlab.risk
-from jitterlab.errors import DegenerateInputError, InvalidDimensionError, InvalidParameterError
+from jitterlab.errors import (
+    DegenerateInputError, EvaluationError, InvalidDimensionError, InvalidParameterError,
+)
 from jitterlab.estimators import (
     LinearEstimator,
     conjectured_robust_estimator,
@@ -368,13 +370,27 @@ def test_dual_batch_grid_rows_equal_scalar_calls():
 
 
 def test_certify_rejects_non_finite_input():
-    # NaN fails both `val < 0` and `lo > val`, so only a finiteness check catches it
+    # NaN fails both `val < 0` and `lo > val`, so only a finiteness check
+    # catches it; at eps > 0 it stops the secular solve first, and is still
+    # named a bad input.
     model, op, noise = _setup(n=10, d=3)
     est = mmse_estimator(model, op, noise)
     x, y, _ = draw_sample_arrays(model, op, noise, 20, 1)
     x[0, 3] = np.nan
-    with pytest.raises(InvalidParameterError):
-        certify(est, x, y, [0.0])
+    for radii in ([0.0], [0.1], [0.0, 0.1]):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            certify(est, x, y, radii)
+
+
+@pytest.mark.parametrize("radii", [[0.0], [0.1]])
+def test_certify_overflow_on_a_finite_set_is_an_evaluation_error(radii):
+    # A finite but huge H overflows the residual energies: the set is fine,
+    # the result is not, at every radius and with no RuntimeWarning (which
+    # the pytest configuration turns into an error).
+    model, op, noise = _setup(n=6, d=3)
+    x, y, _ = draw_sample_arrays(model, op, noise, 20, 1)
+    with pytest.raises(EvaluationError):
+        certify(LinearEstimator.from_matrix(1e200 * np.eye(6)), x, y, radii)
 
 
 def test_certify_rejects_mismatched_or_short_input():

@@ -609,16 +609,3 @@ def test_fork_map_reports_a_dead_worker(monkeypatch):
     with pytest.raises(ChildProcessError, match="code 3"):
         _item_map(die_on_even, range(4))
     assert multiprocessing.active_children() == []
-
-
-def test_fork_map_nested_call_runs_in_process(monkeypatch):
-    _two_cpus(monkeypatch)
-
-    def inner_pids(item):
-        return os.getpid(), {pid for _, pid in _item_map(_pid_of, range(4))}
-
-    outer = _item_map(inner_pids, range(4))
-    assert len({pid for pid, _ in outer}) == 2
-    for pid, inner in outer:
-        assert inner == {pid}
-    assert multiprocessing.active_children() == []
