@@ -251,18 +251,18 @@ def certify(
 ) -> RiskReport:
     """Monte-Carlo robust risk of one estimator on a pre-drawn evaluation set.
 
-    x (n x N) and y (m x N) are paired signal and measurement columns.  Per
-    block of _CERTIFY_COLUMNS columns the residual H y - x is formed once
-    and one batched dual takes every eps on it; each eps then takes a 66%
-    interval over all N per-sample values.  A last block narrower than
-    512 columns joins the block before it (model._column_blocks, the rule
-    the latent evaluation draw shares).  Each dual is computed column by
-    column, so the per-sample values are those of one unblocked pass
-    wherever BLAS rounds a block's products as it rounds the full ones,
-    which OpenBLAS does for blocks of 1024 columns and for a merged or a
-    512-column-or-wider last block.  Callers certify every estimator they
-    compare on the same (x, y), so differences between estimators and
-    between radii are not Monte-Carlo noise.
+    x (n x N) and y (m x N) are paired signal and measurement columns for
+    an n x m estimator, n, m >= 1.  Per block of _CERTIFY_COLUMNS columns
+    the residual H y - x is formed once and one batched dual takes every
+    eps on it; each eps then takes a 66% interval over all N per-sample
+    values.  A last block narrower than 512 columns joins the block before
+    it (model._column_blocks, the rule the latent evaluation draw shares).
+    Each dual is computed column by column, so the per-sample values are
+    those of one unblocked pass wherever BLAS rounds a block's products as
+    it rounds the full ones, which OpenBLAS does for blocks of 1024 columns
+    and for a merged or a 512-column-or-wider last block.  Callers certify
+    every estimator they compare on the same (x, y), so differences between
+    estimators and between radii are not Monte-Carlo noise.
 
     A non-finite value in x or y raises InvalidParameterError, and a finite
     set whose risk or interval is not finite (an estimator so large that its
@@ -271,6 +271,7 @@ def certify(
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     n, m = estimator.shape
+    _check_count(1, n=n, m=m)  # with no rows, no value of y would reach a statistic
     if x.ndim != 2 or y.ndim != 2 or x.shape[0] != n or y.shape[0] != m or x.shape[1] != y.shape[1]:
         raise InvalidDimensionError(
             f"estimator {estimator.shape} does not match signals {x.shape}, measurements {y.shape}"

@@ -11,7 +11,7 @@ overfitting).  Per-sample gradients of the squared error:
     jittering    standard on y + w, fresh w ~ N(0, sigma_w^2 I): y + w = Ax + (z + w)
                  is one noise draw at per-coordinate variance sigma_z^2 / m + sigma_w^2
 
-Optimizers are implemented from scratch: plain SGD with momentum, and the
+Optimizers are implemented from scratch: plain SGD, and the
 adaptive (Adam-style) rule with bias-corrected first/second moments at the
 fixed decay rates 0.9 and 0.999 and denominator offset 1e-8, which is the
 default at lr 1e-3.  Training starts from H = 0 and is
@@ -61,6 +61,7 @@ _OBJECTIVES = ("standard", "adversarial", "jittering")
 _OPTIMIZERS = ("sgd", "adaptive")
 # The adaptive rule's first and second moment decay rates and denominator offset.
 _BETA1, _BETA2, _EPS_HAT = 0.9, 0.999, 1e-8
+_RECORD_EVERY = 100  # iterations between two recorded points of a run's loss curve
 
 
 def _run_share(prepare, finish, share: list) -> tuple[list, Exception | None]:
@@ -156,9 +157,9 @@ class TrainConfig:
     """Objective, optimizer, and budget for one training run.
 
     objective selects the gradient rule; eps feeds "adversarial" and
-    sigma_w feeds "jittering" as extra input noise (each ignored
-    otherwise).  attack_steps is the training-mode PGD budget, taken at
-    pgd_perturb_batch's default step scale.
+    sigma_w feeds "jittering" as extra input noise, and a non-zero one is
+    rejected under any other objective.  attack_steps is the training-mode
+    PGD budget, taken at pgd_perturb_batch's fixed step scale.
     """
 
     objective: str = "standard"
@@ -166,27 +167,26 @@ class TrainConfig:
     sigma_w: float = 0.0
     optimizer: str = "adaptive"
     lr: float = 1e-3
-    momentum: float = 0.0
     batch_size: int = 50
     n_iterations: int = 20000
     seed: int = 0
     attack_steps: int = 3
-    record_every: int = 100
 
     def __post_init__(self) -> None:
         _check_count(0, seed=self.seed)
         _check_count(1, n_iterations=self.n_iterations, batch_size=self.batch_size,
-                     attack_steps=self.attack_steps, record_every=self.record_every)
+                     attack_steps=self.attack_steps)
         if self.objective not in _OBJECTIVES:
             raise InvalidParameterError(f"objective must be one of {_OBJECTIVES}")
         if self.optimizer not in _OPTIMIZERS:
             raise InvalidParameterError(f"optimizer must be one of {_OPTIMIZERS}")
         if not np.all(np.isfinite((self.eps, self.sigma_w, self.lr))):
             raise InvalidParameterError("eps, sigma_w and lr must be finite")
-        _check_nonnegative(eps=self.eps, sigma_w=self.sigma_w, momentum=self.momentum)
+        _check_nonnegative(eps=self.eps, sigma_w=self.sigma_w)
         _check_positive(lr=self.lr)
-        if not self.momentum < 1.0:
-            raise InvalidParameterError(f"momentum must be < 1, got {self.momentum}")
+        for field, reader in (("eps", "adversarial"), ("sigma_w", "jittering")):
+            if getattr(self, field) and self.objective != reader:
+                raise InvalidParameterError(f"{field} is read only by objective {reader!r}")
 
 
 @dataclass(frozen=True)
@@ -202,11 +202,10 @@ def _stack_key(config: TrainConfig) -> TrainConfig:
     """What the runs of one lockstep stack share: every field but seed, eps and sigma_w.
 
     A jittering run is the standard objective on noisier data, and an
-    adversarial run at eps = 0 is it bit for bit (yt = y + 0): both key as standard.
+    adversarial run at eps = 0 is it bit for bit (yt = y + 0): both key as
+    standard.  Only an adversarial run has a non-zero eps (TrainConfig's rule).
     """
-    objective = config.objective
-    if objective == "jittering" or (objective, config.eps) == ("adversarial", 0.0):
-        objective = "standard"
+    objective = "adversarial" if config.eps else "standard"
     return replace(config, objective=objective, seed=0, eps=0.0, sigma_w=0.0)
 
 
@@ -243,7 +242,7 @@ def _train_stack(
     # + sigma_w^2, with sigma_w = 0 unless it jitters (sqrt(s^2) is s exactly).  Run
     # p draws c into its slice from rng_stream(seed, 0) and, at a non-zero scale,
     # z from (seed, 1); a slice that draws nothing stays 0.
-    sigma_w = [run.sigma_w if run.objective == "jittering" else 0.0 for run in configs]
+    sigma_w = [run.sigma_w for run in configs]
     z_scale = np.sqrt(noise.per_coordinate_std**2 + np.square(sigma_w))[:, None, None]
     c = np.empty((k, d, batch))
     z = np.zeros((k, m, batch)) if z_scale.any() else None
@@ -253,8 +252,8 @@ def _train_stack(
     ]
     x, y = np.empty((k, n, batch)), np.empty((k, m, batch))
     resid, sq = np.empty_like(x), np.empty_like(x)
-    # H, then the SGD velocity or the two adaptive moments, one slice per run.
-    h, *moments = np.zeros((2 if sgd else 3, k, n, m))
+    # H, then the two adaptive moments, one slice per run.
+    h, *moments = np.zeros((1 if sgd else 3, k, n, m))
     grad, step = np.empty_like(h), np.empty_like(h)
 
     outcomes: list[TrainTrace | Exception | None] = [None] * k
@@ -295,7 +294,7 @@ def _train_stack(
         if all(outcomes):
             break
         ema = loss if ema is None else 0.99 * ema + 0.01 * loss
-        if t % config.record_every == 0 or t == config.n_iterations - 1:
+        if t % _RECORD_EVERY == 0 or t == config.n_iterations - 1:
             its.append(t)
             for run, curve, value in zip(outcomes, losses, ema.tolist()):
                 if run is None:
@@ -304,11 +303,8 @@ def _train_stack(
         np.matmul(resid, np.swapaxes(yt, -1, -2), out=grad)
         grad *= 2.0 / batch
         if sgd:
-            (vel,) = moments
-            vel *= config.momentum
             grad *= config.lr
-            vel -= grad
-            h += vel
+            h -= grad
         else:
             mom1, mom2 = moments
             mom1 *= _BETA1
@@ -349,10 +345,10 @@ def train(
 ) -> TrainTrace:
     """Run one training loop; returns the loss trace and final estimator.
 
-    Loss values recorded are an exponential moving average (decay 0.99) of
-    the minibatch objective, a stable running estimate of the population
-    objective.  Divergence (non-finite loss) raises with the trace prefix
-    attached to the exception as `.trace`.
+    Loss values, recorded every _RECORD_EVERY iterations and at the last,
+    are an exponential moving average (decay 0.99) of the minibatch loss,
+    a stable estimate of the population objective.  Divergence (non-finite
+    loss) raises with the trace prefix attached to the exception as `.trace`.
     """
     (run,) = _train_stack(model, op, noise, [config])
     return _outcome(run)
@@ -478,9 +474,9 @@ def sweep_jitter_levels(
     if eps_grid.size == 0 or sigma_w_grid.size == 0:
         raise InvalidParameterError("grids must be non-empty")
     _check_nonnegative(eps_grid=eps_grid, sigma_w_grid=sigma_w_grid)
-    base = base_config if base_config is not None else TrainConfig()
+    base = replace(base_config or TrainConfig(), objective="jittering", eps=0.0)
     runs = [
-        (noise, replace(base, objective="jittering", sigma_w=float(sw), seed=_sub_seed(seed, i)),
+        (noise, replace(base, sigma_w=float(sw), seed=_sub_seed(seed, i)),
          eps_grid, _sub_seed(seed, 10**6))
         for i, sw in enumerate(sigma_w_grid)
     ]

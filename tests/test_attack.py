@@ -18,27 +18,26 @@ def _case(seed, n=8):
     return est, x, y, eps
 
 
-# (eps, n_steps, step_scale) budgets that both entry points reject up front.
+# (eps, n_steps) budgets that both entry points reject up front.
 _BAD_BUDGETS = [
-    (-0.1, 10, 2.5),
-    (float("nan"), 10, 2.5),
-    (float("inf"), 10, 2.5),
-    (0.1, 0, 2.5),
-    (0.1, 1.5, 2.5),
-    (0.1, 2.5, 2.5),
-    (0.1, 0.5, 2.5),
-    (0.1, True, 2.5),
-    (0.1, 10, 0.0),
-    (0.1, 10, -1.0),
-    (0.1, 10, float("nan")),
-    (0.1, 10, float("inf")),
+    (-0.1, 10),
+    (float("nan"), 10),
+    (float("inf"), 10),
+    (0.1, 0),
+    (0.1, 1.5),
+    (0.1, 2.5),
+    (0.1, 0.5),
+    (0.1, True),
 ]
 
 
 def test_attack_config_validation():
-    for eps, n_steps, step_scale in _BAD_BUDGETS:
+    for eps, n_steps in _BAD_BUDGETS:
         with pytest.raises(InvalidParameterError):
-            AttackConfig(eps=eps, n_steps=n_steps, step_scale=step_scale)
+            AttackConfig(eps=eps, n_steps=n_steps)
+    for step_scale in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidParameterError, match="step_scale"):
+            AttackConfig(eps=0.1, n_steps=10, step_scale=step_scale)
     for n_restarts in (0, 2.5, True):
         with pytest.raises(InvalidParameterError, match="n_restarts"):
             AttackConfig(eps=0.1, n_steps=10, n_restarts=n_restarts)
@@ -143,11 +142,12 @@ def test_perturb_batch_matches_single_attack_gradient_path():
     assert np.max(np.abs(e_batch[:, 0] - e_single)) < 1e-10
 
 
-def _reference_perturb_batch(h, x, y, eps, n_steps, step_scale=2.5):
-    # The textbook loop: full gradient 2 H'(H(y + e) - x), out-of-place updates.
+def _reference_perturb_batch(h, x, y, eps, n_steps):
+    # The textbook loop: full gradient 2 H'(H(y + e) - x), out-of-place updates,
+    # steps of 2.5 eps / n_steps.
     e = np.zeros_like(y)
     r0 = h @ y - x
-    step = step_scale * eps / n_steps
+    step = 2.5 * eps / n_steps
     for _ in range(n_steps):
         grad = 2.0 * (h.T @ (r0 + h @ e))
         gnorm = np.linalg.norm(grad, axis=0)
@@ -182,9 +182,9 @@ def test_perturb_batch_rejects_nan_eps():
     # and every other budget AttackConfig rejects
     rng = np.random.default_rng(3)
     h, x, y = rng.standard_normal((4, 4)), rng.standard_normal((4, 6)), rng.standard_normal((4, 6))
-    for eps, n_steps, step_scale in _BAD_BUDGETS:
+    for eps, n_steps in _BAD_BUDGETS:
         with pytest.raises(InvalidParameterError):
-            pgd_perturb_batch(h, x, y, eps, n_steps, step_scale)
+            pgd_perturb_batch(h, x, y, eps, n_steps)
 
 
 def _reference_pgd_attack(est, x, y, config, seed):

@@ -27,7 +27,7 @@ RANGED = ("eps", "eps_grid", "sigma_c", "sigma_z", "sigma_w", "sigma_w_grid", "r
 DIMENSIONS = ("d", "n", "m")
 # Parameter names that carry a count or a seed.
 COUNTS = ("seed", "count", "n_samples", "eval_samples", "n_steps", "n_restarts", "n_iterations",
-          "batch_size", "attack_steps", "record_every")
+          "batch_size", "attack_steps")
 # Result records: they hold what a computation returned, not an input.
 RESULTS = ("RiskReport", "SweepResult")
 
@@ -134,7 +134,7 @@ def test_ranged_parameters_cover_the_public_api():
             ("standard_risk_closed_form", "n")} <= set(DIMENSION_PAIRS)
     assert {("residuals", "n_samples"), ("robust_risk_exact", "n_samples"),
             ("draw_latents", "count"), ("pgd_attack", "seed"), ("AttackConfig", "n_restarts"),
-            ("TrainConfig", "record_every"), ("sweep_jitter_levels", "eval_samples")
+            ("TrainConfig", "attack_steps"), ("sweep_jitter_levels", "eval_samples")
             } <= set(COUNT_PAIRS)
     assert not any(name in RESULTS for name, _ in PAIRS + DIMENSION_PAIRS + COUNT_PAIRS)
 
@@ -188,14 +188,8 @@ def _with_setup(call):
     pytest.param(_with_setup(lambda model, op, noise: jittering_risk_closed_form(
         LinearEstimator.from_matrix(np.ones((model.n, noise.m + 1))), model, op, noise, 0.1)),
                  InvalidDimensionError, id="jittering-risk-estimator-shape"),
-    pytest.param(lambda: TrainConfig(momentum=1.0), InvalidParameterError,
-                 id="train-config-momentum-one"),
-    pytest.param(lambda: TrainConfig(momentum=-0.1), InvalidParameterError,
-                 id="train-config-momentum-negative"),
     pytest.param(lambda: TrainConfig(attack_steps=0), InvalidParameterError,
                  id="train-config-attack-steps-zero"),
-    pytest.param(lambda: TrainConfig(record_every=0), InvalidParameterError,
-                 id="train-config-record-every-zero"),
     pytest.param(_with_setup(lambda *setup: _train_stack(*setup, [TrainConfig(),
                                                                   TrainConfig(lr=0.01)])),
                  InvalidParameterError, id="train-stack-mixed-keys"),
@@ -203,6 +197,15 @@ def _with_setup(call):
                  InvalidParameterError, id="sweep-empty-eps-grid"),
     pytest.param(_with_setup(lambda *setup: sweep_jitter_levels(*setup, [0.1], [], 4, 0)),
                  InvalidParameterError, id="sweep-empty-sigma-w-grid"),
+    pytest.param(lambda: pgd_attack(LinearEstimator.from_matrix(np.eye(6)), np.ones((6, 4)),
+                                    np.ones((6, 4)), AttackConfig(eps=0.1, n_steps=2), 0),
+                 InvalidDimensionError, id="pgd-attack-2d-x-and-y"),
+    pytest.param(lambda: pgd_attack(LinearEstimator.from_matrix(np.eye(6)), np.ones(5),
+                                    np.ones(6), AttackConfig(eps=0.1, n_steps=2), 0),
+                 InvalidDimensionError, id="pgd-attack-short-x"),
+    pytest.param(lambda: pgd_attack(LinearEstimator.from_matrix(np.ones((6, 4))), np.ones(6),
+                                    np.ones(6), AttackConfig(eps=0.1, n_steps=2), 0),
+                 InvalidDimensionError, id="pgd-attack-y-not-m"),
     pytest.param(lambda: dual_values_batch(LinearEstimator.from_matrix(np.zeros((3, 3))),
                                            np.ones((3, 2)), np.nan),
                  InvalidParameterError, id="dual-zero-estimator-nan-eps"),

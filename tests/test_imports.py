@@ -1,8 +1,9 @@
 """The package imports only the standard library, numpy and itself, and
-keeps every name the benchmark's per-call block and the demos read."""
+keeps every name and keyword the benchmark's per-call block and the demos use."""
 
 import ast
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -12,6 +13,9 @@ import jitterlab
 
 PACKAGE = Path(jitterlab.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
+# The scripts that read the package as `jl`: most demos run in no test, so a
+# pruned name or parameter would break them unseen.
+SCRIPTS = [ROOT / "perfbench" / "micro.py", *sorted((ROOT / "demos").glob("*.py"))]
 
 
 def _imported_roots(tree: ast.AST) -> list[tuple[int, str]]:
@@ -37,14 +41,8 @@ def test_package_imports_only_stdlib_and_numpy():
     assert strays == []
 
 
-@pytest.mark.parametrize(
-    "script",
-    [ROOT / "perfbench" / "micro.py", *sorted((ROOT / "demos").glob("*.py"))],
-    ids=lambda path: path.stem,
-)
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda path: path.stem)
 def test_micro_benchmark_reads_only_names_the_package_has(script):
-    # The benchmark's per-call block and the demos read the package as `jl`;
-    # most demos run in no test, so a pruned name would break them unseen.
     tree = ast.parse(script.read_text(encoding="utf-8"))
     names = {
         node.attr
@@ -54,6 +52,37 @@ def test_micro_benchmark_reads_only_names_the_package_has(script):
     }
     assert names
     assert sorted(name for name in names if not hasattr(jitterlab, name)) == []
+
+
+def _jl_calls(tree: ast.AST) -> list[tuple[str, list[str]]]:
+    """(dotted name below jl, keyword names) for each call of jl.<name>[.<attr>...](...)."""
+    calls = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            parts, func = [], node.func
+            while isinstance(func, ast.Attribute):
+                parts.insert(0, func.attr)
+                func = func.value
+            if parts and isinstance(func, ast.Name) and func.id == "jl":
+                calls.append((".".join(parts), [kw.arg for kw in node.keywords if kw.arg]))
+    return calls
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda path: path.stem)
+def test_scripts_pass_only_keywords_the_callable_takes(script):
+    # A keyword dropped from a public callable fails here, not when the
+    # script next runs; a **mapping passed on is not checked.
+    calls = _jl_calls(ast.parse(script.read_text(encoding="utf-8")))
+    assert calls
+    unknown = []
+    for dotted, keywords in calls:
+        obj = jitterlab
+        for part in dotted.split("."):
+            obj = getattr(obj, part)
+        params = inspect.signature(obj).parameters
+        if not any(p.kind is p.VAR_KEYWORD for p in params.values()):
+            unknown += [f"jl.{dotted}({kw}=...)" for kw in keywords if kw not in params]
+    assert unknown == []
 
 
 def test_tracer_finds_every_target_the_package_has():

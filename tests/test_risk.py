@@ -393,6 +393,16 @@ def test_certify_overflow_on_a_finite_set_is_an_evaluation_error(radii):
         certify(LinearEstimator.from_matrix(1e200 * np.eye(6)), x, y, radii)
 
 
+@pytest.mark.parametrize("shape", [(0, 6), (6, 0)], ids=["no-rows", "no-columns"])
+def test_certify_rejects_an_estimator_with_no_rows_or_columns(shape):
+    # With no rows, H y is empty, so a NaN in y reached no statistic and the
+    # set certified as risk 0; a dimension below 1 is a bad dimension.
+    n, m = shape
+    x, y = np.zeros((n, 4)), np.full((m, 4), np.nan)
+    with pytest.raises(InvalidDimensionError, match="must be an int >= 1, got 0"):
+        certify(LinearEstimator.from_matrix(np.zeros(shape)), x, y, [0.0])
+
+
 def test_certify_rejects_mismatched_or_short_input():
     model, op, noise = _setup(n=10, d=3)
     est = mmse_estimator(model, op, noise)

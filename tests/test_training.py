@@ -46,8 +46,18 @@ def test_config_validation():
         TrainConfig(objective="adversarial", eps=-0.1)
 
 
-@pytest.mark.parametrize("field", ["seed", "n_iterations", "batch_size", "attack_steps",
-                                   "record_every"])
+@pytest.mark.parametrize("objective, field", [
+    ("standard", "eps"), ("standard", "sigma_w"), ("jittering", "eps"), ("adversarial", "sigma_w"),
+])
+def test_config_rejects_a_level_its_objective_does_not_read(objective, field):
+    # eps feeds only the adversarial objective and sigma_w only jittering; a
+    # non-zero level elsewhere would train a run other than the one it names.
+    with pytest.raises(InvalidParameterError, match=rf"^{field} is read only by objective"):
+        TrainConfig(objective=objective, **{field: 0.2})
+    TrainConfig(objective=objective, **{field: 0.0})
+
+
+@pytest.mark.parametrize("field", ["seed", "n_iterations", "batch_size", "attack_steps"])
 @pytest.mark.parametrize("value", [2.5, True, "3", np.float64(4.0)])
 def test_config_rejects_non_int_counts(field, value):
     with pytest.raises(InvalidParameterError, match=field):
@@ -64,8 +74,9 @@ def test_config_rejects_negative_seed_and_takes_numpy_ints():
 @pytest.mark.parametrize("field", ["eps", "sigma_w", "lr"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_config_rejects_non_finite(field, value):
+    objective = {"eps": "adversarial", "sigma_w": "jittering"}.get(field, "standard")
     with pytest.raises(InvalidParameterError):
-        TrainConfig(**{field: value})
+        TrainConfig(objective=objective, **{field: value})
 
 
 def test_standard_training_converges_to_mmse():
@@ -97,7 +108,7 @@ def test_training_deterministic():
 
 def test_trace_records_ema_losses():
     model, op, noise = _setup()
-    cfg = TrainConfig(objective="standard", n_iterations=1000, record_every=100, seed=2)
+    cfg = TrainConfig(objective="standard", n_iterations=1000, seed=2)
     trace = train(model, op, noise, cfg)
     assert trace.iterations[0] == 0
     assert trace.iterations[-1] == 999
@@ -120,8 +131,7 @@ def test_divergence_raises_with_partial_trace():
 def test_sgd_optimizer_also_converges():
     model, op, noise = _setup()
     cfg = TrainConfig(
-        objective="standard", optimizer="sgd", lr=0.05, momentum=0.9,
-        n_iterations=15000, seed=5,
+        objective="standard", optimizer="sgd", lr=0.05, n_iterations=15000, seed=5,
     )
     trace = train(model, op, noise, cfg)
     target = mmse_estimator(model, op, noise)
@@ -149,6 +159,16 @@ def test_sweep_shapes_and_zero_eps_argmin():
     assert np.all(res.ci_low <= res.risks) and np.all(res.risks <= res.ci_high)
     # at eps=0 any jitter only hurts: argmin must sit at sigma_w = 0
     assert res.argmin_sigma_w[0] == 0.0
+
+
+def test_sweep_reads_no_level_from_its_base_config():
+    # The sweep sets each run's objective and jitter level; an adversarial
+    # base's eps, which no jittering run reads, is dropped, not rejected.
+    model, op, noise = _setup(n=10, d=3)
+    args = (model, op, noise, np.array([0.1]), np.array([0.0, 0.2]), 20, 0)
+    plain = sweep_jitter_levels(*args, base_config=TrainConfig(n_iterations=5))
+    adversarial = TrainConfig(objective="adversarial", eps=0.3, n_iterations=5)
+    assert np.array_equal(sweep_jitter_levels(*args, base_config=adversarial).risks, plain.risks)
 
 
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
@@ -196,28 +216,32 @@ def test_jitter_noise_shares_stream_with_batch():
     assert np.array_equal(a.estimator.matrix, _reference_train(model, op, noise, jitter))
 
 
+def _levelled(config, level):
+    """config with the level its objective reads, eps or sigma_w, set to level."""
+    field = {"adversarial": "eps", "jittering": "sigma_w"}.get(config.objective)
+    return replace(config, **{field: level}) if field else config
+
+
 @pytest.mark.parametrize("objective", ["standard", "adversarial", "jittering"])
 def test_training_prefix_is_stable(objective):
     # A run's first iterations do not depend on how many follow them.
     model, op, noise = _setup(n=12, d=4)
-    cfg = TrainConfig(objective=objective, eps=0.2, sigma_w=0.2, n_iterations=200,
-                      record_every=50, seed=5)
+    cfg = _levelled(TrainConfig(objective=objective, n_iterations=400, seed=5), 0.2)
     short = train(model, op, noise, cfg)
-    long = train(model, op, noise, replace(cfg, n_iterations=400))
-    assert list(short.iterations[:4]) == list(long.iterations[:4]) == [0, 50, 100, 150]
+    long = train(model, op, noise, replace(cfg, n_iterations=800))
+    assert list(short.iterations[:4]) == list(long.iterations[:4]) == [0, 100, 200, 300]
     assert np.array_equal(short.losses[:4], long.losses[:4])
 
 
 def _reference_train(model, op, noise, config):
     # The textbook loop: every draw taken, dense A, out-of-place optimizer
-    # steps.  Jittering trains on y + w = Ax + (z + w), whose noise is one
-    # draw at per-coordinate variance sigma_z^2 / m + sigma_w^2.
+    # steps, plain SGD.  Jittering trains on y + w = Ax + (z + w), whose noise
+    # is one draw at per-coordinate variance sigma_z^2 / m + sigma_w^2.
     n, m, d = model.n, noise.m, model.d
     batch = config.batch_size
-    h, vel, mom1, mom2 = (np.zeros((n, m)) for _ in range(4))
+    h, mom1, mom2 = (np.zeros((n, m)) for _ in range(3))
     gen_c, gen_z = (rng_stream(config.seed, j) for j in range(2))
-    sigma_w = config.sigma_w if config.objective == "jittering" else 0.0
-    z_scale = np.sqrt(noise.per_coordinate_std**2 + sigma_w**2)
+    z_scale = np.sqrt(noise.per_coordinate_std**2 + config.sigma_w**2)
     for t in range(config.n_iterations):
         c = model.sigma_c / np.sqrt(d) * gen_c.standard_normal((d, batch))
         z = z_scale * gen_z.standard_normal((m, batch))
@@ -229,8 +253,7 @@ def _reference_train(model, op, noise, config):
             yt = y
         grad = (2.0 / batch) * ((h @ yt - x) @ yt.T)
         if config.optimizer == "sgd":
-            vel = config.momentum * vel - config.lr * grad
-            h = h + vel
+            h = h - config.lr * grad
         else:
             mom1 = 0.9 * mom1 + (1.0 - 0.9) * grad
             mom2 = 0.999 * mom2 + (1.0 - 0.999) * grad**2
@@ -255,16 +278,14 @@ def test_train_bit_identical_to_reference_loop(spectrum, optimizer, objective):
             noise = NoiseModel(m=9, sigma_z=sigma_z)
         else:
             model, op, noise = _setup(n=12, d=4, sigma_z=sigma_z, spectrum=spectrum)
-        cfg = TrainConfig(
-            objective=objective, eps=0.3, sigma_w=0.2, optimizer=optimizer,
-            lr=1e-3 if optimizer == "adaptive" else 0.02, momentum=0.5,
+        cfg = _levelled(TrainConfig(
+            objective=objective, optimizer=optimizer, lr=1e-3 if optimizer == "adaptive" else 0.02,
             batch_size=9, n_iterations=60, seed=6,
-        )
+        ), 0.3)
         h = train(model, op, noise, cfg).estimator.matrix
         assert np.array_equal(h, _reference_train(model, op, noise, cfg))
         stack = [cfg] + [
-            replace(cfg, seed=seed, eps=eps, sigma_w=sw)
-            for seed, eps, sw in ((7, 0.1, 0.05), (8, 0.6, 0.4))
+            _levelled(replace(cfg, seed=seed), level) for seed, level in ((7, 0.1), (8, 0.6))
         ]
         for config, run in zip(stack, _train_stack(model, op, noise, stack)):
             alone = train(model, op, noise, config)
@@ -287,7 +308,7 @@ def test_noisier_training_data_trains_as_jittering(spectrum, optimizer, sigma_z)
     noise = NoiseModel(m=noisy.m, sigma_z=sigma_z)
     sigma_w = np.sqrt((sigma_z_train**2 - sigma_z**2) / noisy.m)
     cfg = TrainConfig(optimizer=optimizer, lr=1e-3 if optimizer == "adaptive" else 0.02,
-                      momentum=0.5, batch_size=9, n_iterations=300, seed=11)
+                      batch_size=9, n_iterations=300, seed=11)
     jitter = replace(cfg, objective="jittering", sigma_w=sigma_w)
     h_a = train(model, op, noisy, cfg).estimator.matrix
     h_b = train(model, op, noise, jitter).estimator.matrix
@@ -302,10 +323,10 @@ def test_each_run_opens_the_latent_and_the_noise_stream_only(monkeypatch, sigma_
     model, op, noise = _setup(n=10, d=3, sigma_z=sigma_z)
     base = TrainConfig(n_iterations=20, batch_size=6)
     configs = [
-        replace(base, objective="standard", sigma_w=0.3, seed=1),
+        replace(base, objective="standard", seed=1),
         replace(base, objective="jittering", sigma_w=0.3, seed=2),
         replace(base, objective="jittering", sigma_w=0.0, seed=3),
-        replace(base, objective="adversarial", eps=0.2, sigma_w=0.3, seed=4),
+        replace(base, objective="adversarial", eps=0.2, seed=4),
         replace(base, objective="adversarial", eps=0.0, seed=5),
     ]
     opened = []
@@ -331,7 +352,7 @@ def test_train_runs_returns_a_mixed_list_in_input_order():
     # Jittering runs and runs at eps = 0 join the standard stack; the adversarial
     # group is more than one stack; the sgd run stacks alone.
     model, op, noise = _setup(n=10, d=3)
-    base = TrainConfig(n_iterations=30, batch_size=6, record_every=7)
+    base = TrainConfig(n_iterations=30, batch_size=6)
     configs = [
         replace(base, objective="jittering", sigma_w=0.3, seed=1),
         replace(base, objective="adversarial", eps=0.0, seed=2),
@@ -353,12 +374,11 @@ def test_train_runs_returns_a_mixed_list_in_input_order():
 def _diverging(objective="jittering"):
     if objective == "jittering":
         # At lr 0.05, plain SGD is stable at jitter level 0.1 and diverges at 10.
-        base = TrainConfig(objective="jittering", optimizer="sgd", lr=0.05, n_iterations=300,
-                           record_every=10)
+        base = TrainConfig(objective="jittering", optimizer="sgd", lr=0.05, n_iterations=300)
         return [replace(base, sigma_w=sw, seed=seed) for seed, sw in enumerate((0.1, 10.0, 0.2))]
-    # At lr 100 every run diverges, two of them first inside the attack.
-    base = TrainConfig(objective="adversarial", optimizer="sgd", lr=100.0, momentum=0.9,
-                       n_iterations=400, record_every=10)
+    # At lr 30 every run diverges, one of them first inside the attack and
+    # the others after their second recorded point.
+    base = TrainConfig(objective="adversarial", optimizer="sgd", lr=30.0, n_iterations=400)
     return [replace(base, eps=eps, seed=seed) for seed, eps in enumerate((0.1, 1.0, 0.3, 3.0))]
 
 
